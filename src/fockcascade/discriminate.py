@@ -33,9 +33,9 @@ from .measurement import (
 from .network import LinearNetwork, substitute
 from .nogo import (
     aux_transfer_tables,
-    coefficient_overlaps_from_expansions,
     system_expansions,
     transfer_matrix,
+    transformed_expansions,
     _check_aux,
     _check_states,
 )
@@ -73,7 +73,8 @@ class DiscriminationInstance:
                     )
 
     def total_states(self, net: LinearNetwork) -> list[CreationPolynomial]:
-        return [substitute(self.aux * psi, net) for psi in self.states]
+        aux_out = substitute(self.aux, net)
+        return [aux_out * substitute(psi, net) for psi in self.states]
 
 
 @dataclass(frozen=True)
@@ -311,29 +312,16 @@ def necessity_probe(
     small numerical slack, and asserts the implication "no-aux overlaps
     nonzero implies with-aux overlaps nonzero".
     """
-    state_exps, system_order = system_expansions(instance.states, net, measured)
-    aux_exp = expand_by_mode(substitute(instance.aux, net), measured)
-    tables = aux_transfer_tables(aux_exp, system_order)
+    expansions = transformed_expansions(instance.aux, instance.states, net, measured)
+    tables = aux_transfer_tables(expansions.aux, expansions.system_order)
     m_prime = transfer_matrix(tables)
     sigma_min = float(np.linalg.svd(m_prime, compute_uv=False).min())
 
-    totals = instance.total_states(net)
-    n_a = aux_exp.order
     pairs = []
-    for i in range(len(totals)):
-        for j in range(i + 1, len(totals)):
-            u_prime = coefficient_overlaps_from_expansions(
-                state_exps[i], state_exps[j], system_order
-            )
-            v_vec = np.array(
-                [
-                    vacuum_inner_product(
-                        condition(totals[i], measured, n_a + system_order - s).state,
-                        condition(totals[j], measured, n_a + system_order - s).state,
-                    )
-                    for s in range(system_order + 1)
-                ]
-            )
+    for i in range(len(instance.states)):
+        for j in range(i + 1, len(instance.states)):
+            u_prime = expansions.coefficient_overlaps(i, j)
+            v_vec = expansions.with_aux_overlaps(i, j)
             u_norm = float(np.linalg.norm(u_prime))
             v_norm = float(np.linalg.norm(v_vec))
             lower = sigma_min * u_norm - PROBE_SLACK

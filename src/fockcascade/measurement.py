@@ -84,7 +84,7 @@ def expand_by_mode(p: CreationPolynomial, measured: str) -> ModeExpansion:
         measured=measured,
         source_registry=registry,
         reduced_registry=reduced,
-        coefficients=tuple(CreationPolynomial(reduced, b) for b in buckets),
+        coefficients=tuple(CreationPolynomial._trusted(reduced, b) for b in buckets),
     )
 
 

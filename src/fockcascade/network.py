@@ -14,7 +14,9 @@ and Haar-random sampling for tests.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 from typing import Mapping
 
 import numpy as np
@@ -151,14 +153,16 @@ def substitute(state: CreationPolynomial, net: LinearNetwork) -> CreationPolynom
                 powers[key] = image_power(i, e - 1) * images[i]
         return powers[key]
 
-    total = CreationPolynomial.zero(registry)
+    # Sum every expanded term into one dict; building a polynomial per
+    # partial sum would copy the running total once per term.
+    one = CreationPolynomial.constant(registry)
+    total: dict[Exponents, complex] = {}
     for exps, coeff in state.items():
-        term = CreationPolynomial.constant(registry, coeff)
-        for i, e in enumerate(exps):
-            if e:
-                term = term * image_power(i, e)
-        total = total + term
-    return total
+        factors = [image_power(i, e) for i, e in enumerate(exps) if e]
+        term = functools.reduce(operator.mul, factors) if factors else one
+        for key, c in term.items():
+            total[key] = total.get(key, 0.0) + coeff * c
+    return CreationPolynomial._trusted(registry, total)
 
 
 def _unit(size: int, j: int) -> Exponents:

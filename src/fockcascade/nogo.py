@@ -23,6 +23,9 @@ Two independent computational routes are implemented.  ``V`` comes from raw
 conditioning of the product state; ``M' U'`` comes from coefficient tables
 built by the reordering recursions below.  ``verify_no_go`` runs both and
 reports the residual, the triangular structure, and the determinant identity.
+It substitutes each state once and forms each product state as
+``sub(aux) * sub(psi)``, which equals ``sub(aux * psi)`` because substitution
+is a ring homomorphism.
 
 Component conventions used throughout (all indices nonnegative):
 
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -183,11 +187,16 @@ def coefficient_overlap_vector(
 def coefficient_overlaps_from_expansions(
     exp_i: ModeExpansion, exp_j: ModeExpansion, system_order: int
 ) -> np.ndarray:
-    out = np.zeros(system_order + 1, dtype=complex)
-    for p in range(system_order + 1):
-        out[p] = vacuum_inner_product(
-            exp_i.coefficient(system_order - p), exp_j.coefficient(system_order - p)
-        )
+    return _top_overlaps(exp_i, exp_j, system_order, system_order + 1)
+
+
+def _top_overlaps(
+    exp_i: ModeExpansion, exp_j: ModeExpansion, top: int, length: int
+) -> np.ndarray:
+    """Entry s (s = 0..length-1) is ``<0| Q_i(top-s)^dag Q_j(top-s) |0>``."""
+    out = np.zeros(length, dtype=complex)
+    for s in range(length):
+        out[s] = vacuum_inner_product(exp_i.coefficient(top - s), exp_j.coefficient(top - s))
     return out
 
 
@@ -379,6 +388,80 @@ def transfer_matrix(tables: OverlapTransfer) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class TransformedExpansions:
+    """Every expansion the pair checks read, each computed once.
+
+    ``aux`` and ``states`` expand the substituted auxiliary and system
+    states; ``totals[k]`` expands the product state ``sub(aux) * sub(psi_k)``.
+    ``system_order`` is the set-level top power n_s.
+    """
+
+    aux: ModeExpansion
+    states: tuple[ModeExpansion, ...]
+    totals: tuple[ModeExpansion, ...]
+    system_order: int
+
+    def with_aux_overlaps(self, i: int, j: int) -> np.ndarray:
+        """V for the pair (i, j).  Conditioning a product state on N photons
+        keeps its expansion coefficient N, so entry s is the overlap of the
+        coefficients at N = n_a + n_s - s."""
+        n_s = self.system_order
+        return _top_overlaps(self.totals[i], self.totals[j], self.aux.order + n_s, n_s + 1)
+
+    def coefficient_overlaps(self, i: int, j: int) -> np.ndarray:
+        """U' for the pair (i, j)."""
+        return coefficient_overlaps_from_expansions(
+            self.states[i], self.states[j], self.system_order
+        )
+
+
+def transformed_expansions(
+    aux: CreationPolynomial,
+    states: Sequence[CreationPolynomial],
+    net: LinearNetwork,
+    measured: str,
+) -> TransformedExpansions:
+    """Substitute the auxiliary and each system state once and expand the
+    bare states and the product states in powers of the measured mode."""
+    aux_out = substitute(aux, net)
+    state_outs = [substitute(psi, net) for psi in states]
+    state_exps = tuple(expand_by_mode(p, measured) for p in state_outs)
+    return TransformedExpansions(
+        aux=expand_by_mode(aux_out, measured),
+        states=state_exps,
+        totals=tuple(expand_by_mode(aux_out * p, measured) for p in state_outs),
+        system_order=max(e.order for e in state_exps),
+    )
+
+
+def exact_determinant(matrix: np.ndarray) -> float:
+    """Determinant of a real matrix, exact over its stored float entries.
+
+    Gaussian elimination runs in rationals, so the only rounding is the final
+    conversion to float.  ``np.linalg.det`` pivots by magnitude and loses
+    about 1e-7 relative on a transfer matrix whose tiny diagonal sits under
+    large entries.
+    """
+    rows = [[Fraction(float(x)) for x in row] for row in matrix]
+    size = len(rows)
+    det = Fraction(1)
+    for k in range(size):
+        pivot = next((r for r in range(k, size) if rows[r][k] != 0), None)
+        if pivot is None:
+            return 0.0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for r in range(k + 1, size):
+            factor = rows[r][k] / rows[k][k]
+            if factor:
+                for c in range(k + 1, size):
+                    rows[r][c] -= factor * rows[k][c]
+    return float(det)
+
+
+@dataclass(frozen=True)
 class PairCheck:
     """Residual check for one state pair."""
 
@@ -483,18 +566,18 @@ def verify_no_go(
     """
     _check_states(states)
     _check_aux(aux, states)
-    state_exps, n_s = system_expansions(states, net, measured)
-    aux_exp = expand_by_mode(substitute(aux, net), measured)
-    n_a = aux_exp.order
+    expansions = transformed_expansions(aux, states, net, measured)
+    n_s = expansions.system_order
+    n_a = expansions.aux.order
 
-    tables = aux_transfer_tables(aux_exp, n_s)
+    tables = aux_transfer_tables(expansions.aux, n_s)
     m_prime = transfer_matrix(tables)
     if _corrupt_transfer:
         # Failure-path test hook: damage a diagonal entry so the checks trip.
         m_prime[n_s, n_s] += _corrupt_transfer
     d = tables.leading_aux_norm
 
-    determinant = float(np.linalg.det(m_prime))
+    determinant = exact_determinant(m_prime)
     determinant_expected = d ** (n_s + 1)
     determinant_ok = (
         abs(determinant - determinant_expected) <= det_tol * determinant_expected
@@ -504,37 +587,16 @@ def verify_no_go(
     )
     triangular_ok = bool(np.all(np.triu(m_prime, 1) == 0.0))
 
-    totals = [substitute(aux * psi, net) for psi in states]
-    bare = [substitute(psi, net) for psi in states]
     norm_scale = [
         [math.sqrt(vacuum_norm_sq(exp.coefficient(n_s - p))) for p in range(n_s + 1)]
-        for exp in state_exps
+        for exp in expansions.states
     ]
 
     pairs = []
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
-            v_vec = np.array(
-                [
-                    vacuum_inner_product(
-                        condition(totals[i], measured, n_a + n_s - s).state,
-                        condition(totals[j], measured, n_a + n_s - s).state,
-                    )
-                    for s in range(n_s + 1)
-                ]
-            )
-            u_vec = np.array(
-                [
-                    vacuum_inner_product(
-                        condition(bare[i], measured, n_s - r).state,
-                        condition(bare[j], measured, n_s - r).state,
-                    )
-                    for r in range(n_s + 1)
-                ]
-            )
-            u_prime = coefficient_overlaps_from_expansions(
-                state_exps[i], state_exps[j], n_s
-            )
+            v_vec = expansions.with_aux_overlaps(i, j)
+            u_prime = expansions.coefficient_overlaps(i, j)
             predicted = m_prime @ u_prime
             residual = float(np.abs(v_vec - predicted).max())
             bound = residual_tol * max(1.0, float(np.abs(v_vec).max()))
@@ -553,7 +615,9 @@ def verify_no_go(
                     i=i,
                     j=j,
                     with_aux=tuple(v_vec),
-                    no_aux=tuple(u_vec),
+                    # Conditioning a bare state on N photons keeps its
+                    # coefficient N: these overlaps are U' entry by entry.
+                    no_aux=tuple(u_prime),
                     coefficient=tuple(u_prime),
                     predicted=tuple(predicted),
                     residual=residual,

@@ -20,6 +20,12 @@ Coefficients are complex doubles.  After every arithmetic operation a term is
 dropped when its magnitude falls below ``prune_tol`` relative to the largest
 coefficient in the result, which keeps floating cancellation residue from
 accumulating.
+
+The public constructor validates every exponent tuple.  Arithmetic on
+polynomials that were already validated builds its result through
+:meth:`CreationPolynomial._trusted`, which prunes the same way but skips the
+per-exponent checks; a product that could exceed the photon cap still goes
+through the validating constructor.
 """
 
 from __future__ import annotations
@@ -84,6 +90,24 @@ class CreationPolynomial:
                 if abs(c) > cutoff and c != 0:
                     cleaned[tuple(int(e) for e in exps)] = c
         self._terms = cleaned
+
+    @classmethod
+    def _trusted(
+        cls, registry: ModeRegistry, terms: dict[Exponents, complex]
+    ) -> "CreationPolynomial":
+        """Polynomial over exponent tuples known to be valid for ``registry``.
+
+        Only for internal arithmetic whose keys come from validated
+        polynomials and whose values are complex: relative pruning is applied
+        exactly as in ``__init__``, but the exponent checks are not repeated.
+        """
+        obj = cls.__new__(cls)
+        obj.registry = registry
+        if terms:
+            cutoff = registry.prune_tol * max(abs(c) for c in terms.values())
+            terms = {e: c for e, c in terms.items() if abs(c) > cutoff and c != 0}
+        obj._terms = terms
+        return obj
 
     # -- constructors ------------------------------------------------------
 
@@ -177,13 +201,13 @@ class CreationPolynomial:
                 out.pop(exps, None)
             else:
                 out[exps] = acc
-        return CreationPolynomial(self.registry, out)
+        return CreationPolynomial._trusted(self.registry, out)
 
     def __sub__(self, other: "CreationPolynomial") -> "CreationPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "CreationPolynomial":
-        return CreationPolynomial(
+        return CreationPolynomial._trusted(
             self.registry, {e: -c for e, c in self._terms.items()}
         )
 
@@ -195,6 +219,9 @@ class CreationPolynomial:
                 for eb, cb in other._terms.items():
                     key = tuple(x + y for x, y in zip(ea, eb))
                     out[key] = out.get(key, 0.0) + ca * cb
+            if self.degree + other.degree <= self.registry.photon_cap:
+                return CreationPolynomial._trusted(self.registry, out)
+            # Some mode of the product may exceed the cap: validate.
             return CreationPolynomial(self.registry, out)
         return self.scale(other)
 
@@ -205,13 +232,13 @@ class CreationPolynomial:
         factor = complex(factor)
         if factor == 0:
             return CreationPolynomial.zero(self.registry)
-        return CreationPolynomial(
+        return CreationPolynomial._trusted(
             self.registry, {e: factor * c for e, c in self._terms.items()}
         )
 
     def conjugate(self) -> "CreationPolynomial":
         """Complex-conjugate all coefficients (exponents unchanged)."""
-        return CreationPolynomial(
+        return CreationPolynomial._trusted(
             self.registry, {e: c.conjugate() for e, c in self._terms.items()}
         )
 
@@ -350,4 +377,4 @@ def contract_annihilators(
             if weight:
                 k = tuple(key)
                 out[k] = out.get(k, 0.0) + ca * cb * weight
-    return CreationPolynomial(ops.registry, out)
+    return CreationPolynomial._trusted(ops.registry, out)

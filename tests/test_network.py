@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockcascade import (
     CreationPolynomial,
     ModeRegistry,
+    PhotonCapError,
     RegistryMismatchError,
     UnitarityViolation,
     beam_splitter,
@@ -159,6 +162,66 @@ class TestSubstitute:
             assert substitute(state, compose(a, b)).isclose(
                 substitute(substitute(state, a), b), tol=1e-9
             )
+
+
+small_terms = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=2)] * 3),
+    st.builds(
+        complex,
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=-3, max_value=3),
+    ),
+    max_size=5,
+)
+net_seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def seeded_network(seed):
+    return random_network(REG3, np.random.default_rng(seed))
+
+
+class TestHomomorphism:
+    """Substitution is a ring homomorphism that respects composition."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_terms, small_terms, net_seeds)
+    def test_product_maps_to_product(self, terms_a, terms_b, seed):
+        a = CreationPolynomial(REG3, terms_a)
+        b = CreationPolynomial(REG3, terms_b)
+        net = seeded_network(seed)
+        assert substitute(a * b, net).isclose(
+            substitute(a, net) * substitute(b, net), tol=1e-9
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_terms, net_seeds, net_seeds)
+    def test_composition(self, terms, seed_a, seed_b):
+        p = CreationPolynomial(REG3, terms)
+        a, b = seeded_network(seed_a), seeded_network(seed_b)
+        assert substitute(substitute(p, a), b).isclose(
+            substitute(p, compose(a, b)), tol=1e-9
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
+            st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+            max_size=8,
+        )
+    )
+    def test_trusted_construction_matches_validated(self, terms):
+        validated = CreationPolynomial(REG3, terms)
+        trusted = CreationPolynomial._trusted(REG3, dict(terms))
+        assert dict(trusted.items()) == dict(validated.items())
+
+    def test_product_over_the_cap_still_raised(self):
+        reg = ModeRegistry(("a1", "a2"), photon_cap=20)
+        a1 = CreationPolynomial.mode(reg, "a1", 12)
+        with pytest.raises(PhotonCapError):
+            a1 * a1
+        # Total degree 24 over the cap, but no single mode exceeds it.
+        assert (a1 * CreationPolynomial.mode(reg, "a2", 12)).degree == 24
 
 
 class TestJson:

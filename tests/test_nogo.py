@@ -21,12 +21,15 @@ from fockcascade import (
     overlap_component,
     overlap_component_recursive,
     random_nogo_instance,
+    run_nogo_suite,
     substitute,
     system_expansions,
     transfer_matrix,
     vacuum_inner_product,
     verify_no_go,
 )
+from fockcascade import nogo
+from fockcascade.nogo import exact_determinant
 from fockcascade.sampling import random_aux_state, random_homogeneous_state
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -491,3 +494,87 @@ class TestNoAuxVector:
             assert np.abs(u_cond - u_coeff).max() <= 1e-10 * max(
                 1.0, np.abs(u_coeff).max()
             )
+
+
+class TestRouteEquivalence:
+    def test_pair_vectors_match_product_substitution_route(self):
+        # verify_no_go reads V and the no-aux overlaps from sub(aux)*sub(psi);
+        # the reference substitutes aux*psi and conditions once per outcome.
+        rng = np.random.default_rng(60)
+        superposed = 0
+        for k in range(12):
+            inst = random_nogo_instance(
+                rng,
+                max_system_modes=3,
+                max_aux_modes=2,
+                max_photons=3,
+                max_aux_photons=2,
+                n_states=3 + k % 2,
+                force_aux_photons=True,
+            )
+            superposed += not inst.aux.is_homogeneous()
+            report = verify_no_go(inst.aux, inst.states, inst.network, inst.measured)
+            assert report.passed
+            for pair in report.pairs:
+                psi_i, psi_j = inst.states[pair.i], inst.states[pair.j]
+                args = (inst.network, inst.measured, report.system_order)
+                for got, want in (
+                    (pair.with_aux, conditional_overlap_vector(inst.aux, psi_i, psi_j, *args)),
+                    (pair.no_aux, no_aux_overlap_vector(psi_i, psi_j, *args)),
+                ):
+                    scale = np.abs(want).max()
+                    assert scale > 0.0
+                    assert np.abs(np.array(got) - want).max() <= 1e-10 * scale
+        assert superposed >= 3
+
+
+class TestWorkCount:
+    @pytest.mark.parametrize("n_states", [2, 3, 4])
+    def test_each_state_substituted_and_expanded_once(self, monkeypatch, n_states):
+        calls = {"substitute": 0, "expand_by_mode": 0}
+
+        def counted(name):
+            original = getattr(nogo, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(nogo, name, counted(name))
+        inst = random_nogo_instance(
+            np.random.default_rng(61), n_states=n_states, force_aux_photons=True
+        )
+        assert verify_no_go(inst.aux, inst.states, inst.network, inst.measured).passed
+        assert calls == {"substitute": n_states + 1, "expand_by_mode": 2 * n_states + 1}
+
+
+class TestDeterminant:
+    def test_seed_3189_replay_passes(self):
+        # A lower-triangular transfer matrix whose tiny diagonal sits under
+        # large entries; a pivoting LU determinant missed D^(n_s+1) by more
+        # than the 1e-8 tolerance although the identity holds.
+        result = run_nogo_suite(
+            count=1,
+            seed=3189,
+            max_system_modes=4,
+            max_aux_modes=3,
+            max_photons=4,
+            max_aux_photons=3,
+        )
+        report = result.reports[0]
+        assert report.determinant_ok
+        assert report.passed
+        assert result.max_det_deviation <= 1e-12
+
+    def test_exact_determinant_general_matrices(self):
+        rng = np.random.default_rng(62)
+        for size in range(1, 6):
+            m = rng.standard_normal((size, size))
+            want = np.linalg.det(m)
+            assert abs(exact_determinant(m) - want) <= 1e-10 * max(1.0, abs(want))
+        # a zero leading entry needs a row swap, which flips the sign
+        assert exact_determinant(np.array([[0.0, 2.0], [3.0, 1.0]])) == -6.0
+        assert exact_determinant(np.array([[1.0, 2.0], [2.0, 4.0]])) == 0.0
