@@ -60,7 +60,6 @@ from .nogo import (
     aux_transfer_tables,
     coefficient_overlap_vector,
     conditional_overlap_vector,
-    no_aux_overlap_vector,
     overlap_component,
     overlap_component_recursive,
     system_expansions,
@@ -121,7 +120,6 @@ __all__ = [
     "identity",
     "necessity_probe",
     "network_from_dict",
-    "no_aux_overlap_vector",
     "normal_order_pair",
     "outcome_distribution",
     "overlap_component",

@@ -24,13 +24,13 @@ from .errors import (
     FockCascadeError,
     PhotonCapError,
     SchemaError,
-    StrategyError,
     UnitarityViolation,
 )
 from .instancefile import load_instance
 from .measurement import condition
 from .modes import DEFAULT_PHOTON_CAP
 from .network import identity, substitute
+from .poly import sig12
 from .suites import SuiteCapError, run_nogo_suite, run_oracle_suite
 
 SCHEMA_VERSION = "1"
@@ -85,7 +85,7 @@ def _cmd_condition(args) -> int:
         conditionals.append(
             {
                 "outcome": cond.outcome,
-                "weight": float(f"{cond.weight:.12g}"),
+                "weight": sig12(cond.weight),
                 "state": cond.state.to_dict(),
             }
         )
@@ -217,21 +217,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, StrategyError, ValueError) as exc:
-        if isinstance(exc, SuiteCapError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CAPS
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+    except (SuiteCapError, PhotonCapError) as exc:
+        code, error = EXIT_CAPS, exc
     except UnitarityViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except PhotonCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPS
-    except FockCascadeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+        code, error = EXIT_NUMERIC, exc
+    except (FockCascadeError, ValueError) as exc:
+        code, error = EXIT_SCHEMA, exc
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -23,23 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StrategyError
-from .measurement import (
-    CascadeStage,
-    condition,
-    expand_by_mode,
-    run_cascade,
-    validate_strategy,
-)
-from .network import LinearNetwork, substitute
+from .measurement import CascadeStage, run_cascade, validate_strategy
+from .network import LinearNetwork
 from .nogo import (
     aux_transfer_tables,
-    system_expansions,
     transfer_matrix,
     transformed_expansions,
     _check_aux,
     _check_states,
 )
-from .poly import CreationPolynomial, vacuum_inner_product, vacuum_norm_sq
+from .poly import CreationPolynomial, sig12, vacuum_inner_product, vacuum_norm_sq
 
 INPUT_ORTHOGONALITY_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-9
@@ -71,10 +64,6 @@ class DiscriminationInstance:
                         f"candidate states {i} and {j} are not orthogonal "
                         f"(|<i|j>| = {overlap:.3e})"
                     )
-
-    def total_states(self, net: LinearNetwork) -> list[CreationPolynomial]:
-        aux_out = substitute(self.aux, net)
-        return [aux_out * substitute(psi, net) for psi in self.states]
 
 
 @dataclass(frozen=True)
@@ -110,11 +99,11 @@ class StageReport:
                     "j": r.j,
                     "outcome": r.outcome,
                     "inner_product": {
-                        "re": _sig12(r.inner_product.real),
-                        "im": _sig12(r.inner_product.imag),
+                        "re": sig12(r.inner_product.real),
+                        "im": sig12(r.inner_product.imag),
                     },
-                    "weight_i": _sig12(r.weight_i),
-                    "weight_j": _sig12(r.weight_j),
+                    "weight_i": sig12(r.weight_i),
+                    "weight_j": sig12(r.weight_j),
                     "orthogonal": r.orthogonal,
                     "vacuous": r.vacuous,
                     "distinguished": r.distinguished,
@@ -122,10 +111,6 @@ class StageReport:
                 for r in self.records
             ],
         }
-
-
-def _sig12(x: float) -> float:
-    return float(f"{x:.12g}")
 
 
 def stage_orthogonality(
@@ -137,33 +122,33 @@ def stage_orthogonality(
     possible photon count on the measured mode.  A pair counts as
     distinguished at an outcome when the scaled inner-product test passes or
     when at least one conditional weight is vacuously small; both conditions
-    are reported separately.
+    are reported separately.  The conditional state of input k at outcome N
+    is coefficient N of its product-state expansion.
     """
-    totals = instance.total_states(net)
-    aux_order = expand_by_mode(substitute(instance.aux, net), measured).order
-    _, system_order = system_expansions(instance.states, net, measured)
-    max_outcome = aux_order + system_order
+    expansions = transformed_expansions(instance.aux, instance.states, net, measured)
+    totals = expansions.totals
+    max_outcome = expansions.aux.order + expansions.system_order
+    weights = [t.weights() + [0.0] * (max_outcome - t.order) for t in totals]
 
     records = []
     for i in range(len(totals)):
         for j in range(i + 1, len(totals)):
             for outcome in range(max_outcome + 1):
-                cond_i = condition(totals[i], measured, outcome)
-                cond_j = condition(totals[j], measured, outcome)
-                inner = vacuum_inner_product(cond_i.state, cond_j.state)
-                scale = math.sqrt(
-                    vacuum_norm_sq(cond_i.state) * vacuum_norm_sq(cond_j.state)
-                )
+                state_i = totals[i].coefficient(outcome)
+                state_j = totals[j].coefficient(outcome)
+                weight_i, weight_j = weights[i][outcome], weights[j][outcome]
+                inner = vacuum_inner_product(state_i, state_j)
+                scale = math.sqrt(vacuum_norm_sq(state_i) * vacuum_norm_sq(state_j))
                 orthogonal = abs(inner) <= ORTHOGONALITY_TOL * max(scale, 1.0)
-                vacuous = min(cond_i.weight, cond_j.weight) < VACUOUS_WEIGHT_TOL
+                vacuous = min(weight_i, weight_j) < VACUOUS_WEIGHT_TOL
                 records.append(
                     PairOutcomeRecord(
                         i=i,
                         j=j,
                         outcome=outcome,
                         inner_product=inner,
-                        weight_i=cond_i.weight,
-                        weight_j=cond_j.weight,
+                        weight_i=weight_i,
+                        weight_j=weight_j,
                         orthogonal=orthogonal,
                         vacuous=vacuous,
                         distinguished=vacuous or orthogonal,
@@ -202,7 +187,7 @@ class CascadeReport:
                 {
                     "history": list(leaf.history),
                     "label": leaf.label,
-                    "probabilities": [_sig12(p) for p in leaf.probabilities],
+                    "probabilities": [sig12(p) for p in leaf.probabilities],
                     "reachable_states": list(leaf.reachable_states),
                     "ambiguous": leaf.ambiguous,
                 }
@@ -285,16 +270,16 @@ class ProbeReport:
 
     def to_dict(self) -> dict:
         return {
-            "sigma_min": _sig12(self.sigma_min),
-            "diagonal_value": _sig12(self.diagonal_value),
+            "sigma_min": sig12(self.sigma_min),
+            "diagonal_value": sig12(self.diagonal_value),
             "all_hold": self.all_hold,
             "pairs": [
                 {
                     "i": p.i,
                     "j": p.j,
-                    "no_aux_norm": _sig12(p.no_aux_norm),
-                    "with_aux_norm": _sig12(p.with_aux_norm),
-                    "lower_bound": _sig12(p.lower_bound),
+                    "no_aux_norm": sig12(p.no_aux_norm),
+                    "with_aux_norm": sig12(p.with_aux_norm),
+                    "lower_bound": sig12(p.lower_bound),
                     "bound_holds": p.bound_holds,
                     "implication_holds": p.implication_holds,
                 }

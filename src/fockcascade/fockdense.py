@@ -24,7 +24,6 @@ from itertools import combinations_with_replacement
 import numpy as np
 import scipy.linalg
 
-from .modes import ModeRegistry
 from .poly import CreationPolynomial
 
 
@@ -150,7 +149,3 @@ def project_outcome_dense(
     if total == 0:
         raise ValueError("cannot project the zero vector")
     return out, float(selected) / total
-
-
-def basis_for(registry: ModeRegistry, photon_cap: int) -> FockBasis:
-    return FockBasis(registry.size, photon_cap)

@@ -5,8 +5,8 @@ optional auxiliary state, and whatever networks or strategy the command needs:
 
     {
       "modes": ["s0", "s1", "b0"],
-      "system_modes": ["s0", "s1"],          (optional role annotation)
-      "aux_modes": ["b0"],                   (optional role annotation)
+      "system_modes": ["s0", "s1"],          (optional; covers the states)
+      "aux_modes": ["b0"],                   (optional; covers the aux)
       "states": [ {"terms": [...]}, ... ],
       "aux": {"terms": [...]},               (optional, default constant 1)
       "network": {...},                      (optional)
@@ -53,8 +53,6 @@ class Instance:
     registry: ModeRegistry
     states: tuple[CreationPolynomial, ...]
     aux: CreationPolynomial
-    system_modes: tuple[str, ...] | None
-    aux_modes: tuple[str, ...] | None
     networks: dict[str, LinearNetwork]
     strategy: CascadeStage | None
     measure: str | None
@@ -165,7 +163,7 @@ def parse_instance(
         aux = CreationPolynomial.constant(registry, 1.0)
 
     roles = {}
-    for field_name in ("system_modes", "aux_modes"):
+    for field_name, polys in (("system_modes", states), ("aux_modes", [aux])):
         if field_name in data:
             value = data[field_name]
             _require(
@@ -174,9 +172,12 @@ def parse_instance(
             )
             for label in value:
                 _require(label in registry, f"{field_name} entry {label!r} not in modes")
-            roles[field_name] = tuple(value)
-    if "system_modes" in roles and "aux_modes" in roles:
-        clash = set(roles["system_modes"]) & set(roles["aux_modes"])
+            occupied = set().union(*(p.support() for p in polys))
+            uncovered = sorted(occupied - set(value))
+            _require(not uncovered, f"'{field_name}' leaves occupied modes {uncovered} out")
+            roles[field_name] = set(value)
+    if len(roles) == 2:
+        clash = roles["system_modes"] & roles["aux_modes"]
         _require(not clash, f"modes {sorted(clash)} declared both system and aux")
 
     networks: dict[str, LinearNetwork] = {}
@@ -202,8 +203,6 @@ def parse_instance(
         registry=registry,
         states=tuple(states),
         aux=aux,
-        system_modes=roles.get("system_modes"),
-        aux_modes=roles.get("aux_modes"),
         networks=networks,
         strategy=strategy,
         measure=measure,

@@ -26,7 +26,7 @@ from typing import Mapping, Union
 from .errors import StrategyError, ZeroStateError
 from .modes import ModeRegistry
 from .network import LinearNetwork, network_from_dict, substitute
-from .poly import CreationPolynomial, Exponents, factorial, vacuum_norm_sq
+from .poly import CreationPolynomial, Exponents, factorial, sig12, vacuum_norm_sq
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,17 @@ class ModeExpansion:
         if n >= len(self.coefficients):
             return CreationPolynomial.zero(self.reduced_registry)
         return self.coefficients[n]
+
+    def weights(self) -> list[float]:
+        """Outcome probabilities ``N! ||q_N|0>||^2 / ||p|0>||^2`` for
+        N = 0..order.  The buckets hold exactly the source's terms, so the
+        normalizer ``sum_n n! ||q_n|0>||^2`` is ``||p|0>||^2``."""
+        cap = self.source_registry.photon_cap
+        raw = [factorial(n, cap) * vacuum_norm_sq(q) for n, q in enumerate(self.coefficients)]
+        total = sum(raw)
+        if total == 0:
+            raise ZeroStateError("cannot measure the zero state")
+        return [w / total for w in raw]
 
     def reassemble(self) -> CreationPolynomial:
         """Reconstruct the original polynomial (exact, term permutation only)."""
@@ -112,30 +123,17 @@ def condition(total_state: CreationPolynomial, measured: str, outcome: int) -> C
     if total_state.is_zero():
         raise ZeroStateError("cannot condition the zero state")
     expansion = expand_by_mode(total_state, measured)
-    part = expansion.coefficient(outcome)
-    if part.is_zero():
-        return ConditionalState(outcome=outcome, state=part, weight=0.0)
-    weight = (
-        factorial(outcome, total_state.registry.photon_cap)
-        * vacuum_norm_sq(part)
-        / vacuum_norm_sq(total_state)
+    weight = expansion.weights()[outcome] if outcome <= expansion.order else 0.0
+    return ConditionalState(
+        outcome=outcome, state=expansion.coefficient(outcome), weight=weight
     )
-    return ConditionalState(outcome=outcome, state=part, weight=weight)
 
 
 def outcome_distribution(
     total_state: CreationPolynomial, measured: str
 ) -> list[tuple[int, float]]:
     """All outcome probabilities for measuring one mode; they sum to one."""
-    if total_state.is_zero():
-        raise ZeroStateError("cannot measure the zero state")
-    expansion = expand_by_mode(total_state, measured)
-    norm_total = vacuum_norm_sq(total_state)
-    cap = total_state.registry.photon_cap
-    return [
-        (n, factorial(n, cap) * vacuum_norm_sq(expansion.coefficient(n)) / norm_total)
-        for n in range(expansion.order + 1)
-    ]
+    return list(enumerate(expand_by_mode(total_state, measured).weights()))
 
 
 # -- cascades ---------------------------------------------------------------
@@ -191,8 +189,8 @@ class OutcomeNode:
     def to_dict(self) -> dict:
         node = {
             "history": list(self.history),
-            "weight": _sig12(self.conditional_weight),
-            "probability": _sig12(self.probability),
+            "weight": sig12(self.conditional_weight),
+            "probability": sig12(self.probability),
             "zero_weight": self.zero_weight,
         }
         if self.is_leaf():
@@ -201,10 +199,6 @@ class OutcomeNode:
         else:
             node["children"] = [child.to_dict() for child in self.children]
         return node
-
-
-def _sig12(x: float) -> float:
-    return float(f"{x:.12g}")
 
 
 ZERO_WEIGHT_TOL = 1e-12
@@ -243,11 +237,8 @@ def _expand_stage(node: OutcomeNode, stage: CascadeStage) -> None:
         stage.network.registry.require_same(registry)
         state = substitute(state, stage.network)
     expansion = expand_by_mode(state, stage.measure)
-    norm_total = vacuum_norm_sq(state)
-    cap = registry.photon_cap
-    for n in range(expansion.order + 1):
+    for n, weight in enumerate(expansion.weights()):
         part = expansion.coefficient(n)
-        weight = factorial(n, cap) * vacuum_norm_sq(part) / norm_total
         zero = weight < ZERO_WEIGHT_TOL
         child = OutcomeNode(
             history=node.history + (n,),
@@ -267,15 +258,6 @@ def _expand_stage(node: OutcomeNode, stage: CascadeStage) -> None:
             child.covered = False
 
 
-def strategy_depth(stage: CascadeStage) -> int:
-    depths = [
-        strategy_depth(branch)
-        for branch in stage.branches.values()
-        if isinstance(branch, CascadeStage)
-    ]
-    return 1 + (max(depths) if depths else 0)
-
-
 def validate_strategy(
     stage: CascadeStage, registry: ModeRegistry, max_photons: int
 ) -> None:
@@ -292,10 +274,6 @@ def validate_strategy(
             f"stage network modes {stage.network.registry.labels} do not match "
             f"surviving modes {registry.labels}"
         )
-    if registry.size == 1 and any(
-        isinstance(b, CascadeStage) for b in stage.branches.values()
-    ):
-        raise StrategyError("cannot descend below the last mode")
     for n, branch in stage.branches.items():
         if not isinstance(n, int) or n < 0:
             raise StrategyError(f"branch key {n!r} is not a photon count")
@@ -319,13 +297,17 @@ def strategy_from_dict(
     unknown = set(data) - allowed
     if unknown:
         raise StrategyError(f"unknown strategy fields {sorted(unknown)}")
-    if "measure" not in data:
-        raise StrategyError("strategy stage needs a 'measure' field")
+    measure = data.get("measure")
+    if not isinstance(measure, str) or measure not in registry:
+        raise StrategyError(
+            f"strategy measures {measure!r}, which is not one of the modes "
+            f"{registry.labels} still available"
+        )
     net = None
     if data.get("network") is not None:
         net = network_from_dict(data["network"], registry, tol)
     branches: dict[int, Branch] = {}
-    reduced = registry.without(data["measure"]) if registry.size > 1 else None
+    reduced = registry.without(measure)
     for key, value in data.get("branches", {}).items():
         try:
             n = int(key)
@@ -334,9 +316,7 @@ def strategy_from_dict(
         if isinstance(value, str):
             branches[n] = value
         elif isinstance(value, Mapping):
-            if reduced is None:
-                raise StrategyError("cannot descend below the last mode")
             branches[n] = strategy_from_dict(value, reduced, tol)
         else:
             raise StrategyError(f"branch {key!r} must be a label or a stage object")
-    return CascadeStage(measure=data["measure"], network=net, branches=branches)
+    return CascadeStage(measure=measure, network=net, branches=branches)

@@ -14,6 +14,7 @@ from .errors import RegistryMismatchError
 
 DEFAULT_PHOTON_CAP = 20
 DEFAULT_PRUNE_TOL = 1e-12
+MAX_PHOTON_CAP = 170  # the largest n whose n! is a finite double
 
 
 @dataclass(frozen=True)
@@ -22,8 +23,8 @@ class ModeRegistry:
 
     The registry index of a label is its position in ``labels``; indices are
     dense in ``[0, size)``.  ``photon_cap`` bounds the per-mode occupation any
-    polynomial over this registry may carry (factorials stay exactly
-    representable in double precision), and ``prune_tol`` is the relative
+    polynomial over this registry may carry (at most MAX_PHOTON_CAP, so every
+    factorial it needs is a finite double), and ``prune_tol`` is the relative
     coefficient threshold below which arithmetic drops a term.
     """
 
@@ -38,8 +39,10 @@ class ModeRegistry:
         labels = tuple(str(lab) for lab in self.labels)
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate mode labels in {labels}")
-        if self.photon_cap < 1:
-            raise ValueError("photon cap must be positive")
+        if not 1 <= self.photon_cap <= MAX_PHOTON_CAP:
+            raise ValueError(
+                f"photon cap must be between 1 and {MAX_PHOTON_CAP}, got {self.photon_cap}"
+            )
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_index", {lab: k for k, lab in enumerate(labels)})
 

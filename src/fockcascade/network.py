@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import UnitarityViolation
+from .errors import SchemaError, UnitarityViolation
 from .modes import ModeRegistry
 from .poly import CreationPolynomial, Exponents
 
@@ -39,6 +39,8 @@ class LinearNetwork:
         n = registry.size
         if m.shape != (n, n):
             raise ValueError(f"matrix shape {m.shape} does not match {n} modes")
+        if not np.isfinite(m).all():
+            raise ValueError("network matrix has non-finite entries")
         deviation = np.abs(m.conj().T @ m - np.eye(n)).max()
         if deviation > tol:
             raise UnitarityViolation(deviation, tol)
@@ -190,13 +192,35 @@ def network_from_dict(data: Mapping, registry: ModeRegistry, tol: float = CONSTR
             if "bs" in element:
                 spec = element["bs"]
                 stage = beam_splitter(
-                    spec["theta"], spec.get("phi", 0.0), spec["i"], spec["j"], registry
+                    _element_angle(spec, "theta"),
+                    _element_angle(spec, "phi", 0.0),
+                    _element_mode(spec, "i", registry),
+                    _element_mode(spec, "j", registry),
+                    registry,
                 )
             elif "ps" in element:
                 spec = element["ps"]
-                stage = phase_shifter(spec["phi"], spec["i"], registry)
+                stage = phase_shifter(
+                    _element_angle(spec, "phi"), _element_mode(spec, "i", registry), registry
+                )
             else:
                 raise ValueError(f"unknown network element {element}")
             net = compose(net, stage)
         return net
     raise ValueError("network object needs a 'matrix' or 'elements' field")
+
+
+def _element_angle(spec: Mapping, key: str, default: float | None = None) -> float:
+    value = spec.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"network element field {key!r} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _element_mode(spec: Mapping, key: str, registry: ModeRegistry) -> str:
+    label = spec.get(key)
+    if not isinstance(label, str) or label not in registry:
+        raise SchemaError(
+            f"network element field {key!r} names {label!r}, not one of the modes {registry.labels}"
+        )
+    return label

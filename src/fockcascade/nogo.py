@@ -56,7 +56,13 @@ import numpy as np
 
 from .measurement import ModeExpansion, condition, expand_by_mode
 from .network import LinearNetwork, substitute
-from .poly import CreationPolynomial, vacuum_inner_product, vacuum_norm_sq
+from .poly import (
+    CreationPolynomial,
+    _ordering_weight,
+    sig12,
+    vacuum_inner_product,
+    vacuum_norm_sq,
+)
 
 RESIDUAL_TOL = 1e-8
 DET_TOL = 1e-8
@@ -139,34 +145,6 @@ def conditional_overlap_vector(
     return out
 
 
-def no_aux_overlap_vector(
-    psi_i: CreationPolynomial,
-    psi_j: CreationPolynomial,
-    net: LinearNetwork,
-    measured: str,
-    system_order: int | None = None,
-) -> np.ndarray:
-    """Same conditioning route with no auxiliary photons present.
-
-    Entry r is the conditional overlap at outcome N = n_s - r.  With the
-    conventions used here this equals the coefficient overlap vector entry by
-    entry, but it is computed through the measurement path, not from the
-    expansions.
-    """
-    _check_states([psi_i, psi_j])
-    _, pair_order = system_expansions([psi_i, psi_j], net, measured)
-    n_s = pair_order if system_order is None else int(system_order)
-    total_i = substitute(psi_i, net)
-    total_j = substitute(psi_j, net)
-    out = np.zeros(n_s + 1, dtype=complex)
-    for r in range(n_s + 1):
-        outcome = n_s - r
-        cond_i = condition(total_i, measured, outcome).state
-        cond_j = condition(total_j, measured, outcome).state
-        out[r] = vacuum_inner_product(cond_i, cond_j)
-    return out
-
-
 def coefficient_overlap_vector(
     psi_i: CreationPolynomial,
     psi_j: CreationPolynomial,
@@ -181,13 +159,7 @@ def coefficient_overlap_vector(
     _check_states([psi_i, psi_j])
     (exp_i, exp_j), pair_order = system_expansions([psi_i, psi_j], net, measured)
     n_s = pair_order if system_order is None else int(system_order)
-    return coefficient_overlaps_from_expansions(exp_i, exp_j, n_s)
-
-
-def coefficient_overlaps_from_expansions(
-    exp_i: ModeExpansion, exp_j: ModeExpansion, system_order: int
-) -> np.ndarray:
-    return _top_overlaps(exp_i, exp_j, system_order, system_order + 1)
+    return _top_overlaps(exp_i, exp_j, n_s, n_s + 1)
 
 
 def _top_overlaps(
@@ -265,11 +237,7 @@ def overlap_component_recursive(
                 aux_exp.coefficient(n_a - s_ + n_), aux_exp.coefficient(n_a - s_ + n_)
             )
         for k in range(1, min(n_, s_ - m_) + 1):
-            weight = (
-                math.factorial(k)
-                * math.comb(n_a - s_ + m_ + k, k)
-                * math.comb(n_s - n_ + k, k)
-            )
+            weight = _ordering_weight(k, n_a - s_ + m_ + k, n_s - n_ + k)
             value -= weight * rec(s_ - k, n_ - k, m_)
         memo[key] = value
         return value
@@ -343,11 +311,7 @@ def aux_transfer_tables(aux_exp: ModeExpansion, system_order: int) -> OverlapTra
                 for p in range(max(0, n + m - s), m + 1):
                     value = aux_norms[n_a - s + n] if p == n == m else 0.0
                     for k in range(1, min(n - p, s - m) + 1):
-                        weight = (
-                            math.factorial(k)
-                            * math.comb(n_a - s + m + k, k)
-                            * math.comb(n_s - n + k, k)
-                        )
+                        weight = _ordering_weight(k, n_a - s + m + k, n_s - n + k)
                         value -= weight * lookup(s - k, p, n - k, m)
                     coeff[(s, p, n, m)] = value
 
@@ -410,9 +374,8 @@ class TransformedExpansions:
 
     def coefficient_overlaps(self, i: int, j: int) -> np.ndarray:
         """U' for the pair (i, j)."""
-        return coefficient_overlaps_from_expansions(
-            self.states[i], self.states[j], self.system_order
-        )
+        n_s = self.system_order
+        return _top_overlaps(self.states[i], self.states[j], n_s, n_s + 1)
 
 
 def transformed_expansions(
@@ -468,7 +431,6 @@ class PairCheck:
     i: int
     j: int
     with_aux: tuple[complex, ...]       # conditional overlaps, aux present
-    no_aux: tuple[complex, ...]         # conditional overlaps, aux removed
     coefficient: tuple[complex, ...]    # expansion-coefficient overlaps
     predicted: tuple[complex, ...]      # transfer matrix applied to the above
     residual: float
@@ -505,10 +467,10 @@ class NoGoReport:
             "description": self.description,
             "aux_order": self.aux_order,
             "system_order": self.system_order,
-            "diagonal_value": _sig12(self.leading_aux_norm),
-            "transfer_matrix": [[_sig12(x) for x in row] for row in self.transfer],
-            "determinant": _sig12(self.determinant),
-            "determinant_expected": _sig12(self.determinant_expected),
+            "diagonal_value": sig12(self.leading_aux_norm),
+            "transfer_matrix": [[sig12(x) for x in row] for row in self.transfer],
+            "determinant": sig12(self.determinant),
+            "determinant_expected": sig12(self.determinant_expected),
             "determinant_ok": self.determinant_ok,
             "diagonal_ok": self.diagonal_ok,
             "triangular_ok": self.triangular_ok,
@@ -518,11 +480,10 @@ class NoGoReport:
                     "i": p.i,
                     "j": p.j,
                     "with_aux": _cvec(p.with_aux),
-                    "no_aux": _cvec(p.no_aux),
                     "coefficient": _cvec(p.coefficient),
                     "predicted": _cvec(p.predicted),
-                    "residual": _sig12(p.residual),
-                    "residual_bound": _sig12(p.residual_bound),
+                    "residual": sig12(p.residual),
+                    "residual_bound": sig12(p.residual_bound),
                     "with_aux_zero": p.with_aux_zero,
                     "coefficient_zero": p.coefficient_zero,
                     "zero_equivalent": p.zero_equivalent,
@@ -533,12 +494,8 @@ class NoGoReport:
         }
 
 
-def _sig12(x: float) -> float:
-    return float(f"{x:.12g}")
-
-
 def _cvec(values) -> list[dict]:
-    return [{"re": _sig12(z.real), "im": _sig12(z.imag)} for z in values]
+    return [{"re": sig12(z.real), "im": sig12(z.imag)} for z in values]
 
 
 def verify_no_go(
@@ -615,9 +572,6 @@ def verify_no_go(
                     i=i,
                     j=j,
                     with_aux=tuple(v_vec),
-                    # Conditioning a bare state on N photons keeps its
-                    # coefficient N: these overlaps are U' entry by entry.
-                    no_aux=tuple(u_prime),
                     coefficient=tuple(u_prime),
                     predicted=tuple(predicted),
                     residual=residual,

@@ -30,16 +30,17 @@ through the validating constructor.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from typing import Iterator, Mapping, Sequence
 
 from .errors import PhotonCapError
-from .modes import ModeRegistry
+from .modes import MAX_PHOTON_CAP, ModeRegistry
 
 Exponents = tuple[int, ...]
 
-_FACTORIAL = [float(math.factorial(n)) for n in range(171)]
+_FACTORIAL = [float(math.factorial(n)) for n in range(MAX_PHOTON_CAP + 1)]
 
 
 def factorial(n: int, cap: int) -> float:
@@ -49,6 +50,11 @@ def factorial(n: int, cap: int) -> float:
     if n > cap:
         raise PhotonCapError(f"occupation {n} exceeds photon cap {cap}")
     return _FACTORIAL[n]
+
+
+def sig12(x: float) -> float:
+    """``x`` at twelve significant digits, the precision of every JSON report."""
+    return float(f"{x:.12g}")
 
 
 def _graded_lex(item: tuple[Exponents, complex]):
@@ -87,6 +93,8 @@ class CreationPolynomial:
                             f"occupation {e} exceeds photon cap {cap}"
                         )
                 c = complex(coeff)
+                if not cmath.isfinite(c):
+                    raise ValueError(f"coefficient {c} of {exps} is not finite")
                 if abs(c) > cutoff and c != 0:
                     cleaned[tuple(int(e) for e in exps)] = c
         self._terms = cleaned
@@ -342,10 +350,13 @@ def normal_order_pair(m: int, n: int) -> list[tuple[int, int]]:
     """
     if m < 0 or n < 0:
         raise ValueError("operator powers must be nonnegative")
-    return [
-        (k, math.factorial(k) * math.comb(m, k) * math.comb(n, k))
-        for k in range(min(m, n) + 1)
-    ]
+    return [(k, _ordering_weight(k, m, n)) for k in range(min(m, n) + 1)]
+
+
+def _ordering_weight(k: int, m: int, n: int) -> int:
+    """``k! C(m, k) C(n, k)``: the ways to contract k of m annihilators with
+    k of n creators when ``c^m c^dag^n`` is normally ordered."""
+    return math.factorial(k) * math.comb(m, k) * math.comb(n, k)
 
 
 def contract_annihilators(

@@ -8,11 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fockdense import FockBasis, apply_network_dense, embed, project_outcome_dense
-from .measurement import condition, outcome_distribution
+from .measurement import expand_by_mode
 from .network import random_network, substitute
 from .nogo import NoGoReport, verify_no_go
 from .modes import ModeRegistry
-from .poly import vacuum_norm_sq
+from .poly import sig12, vacuum_norm_sq
 from .sampling import random_aux_state, random_nogo_instance
 
 SIZE_CAPS = {
@@ -58,12 +58,12 @@ class NoGoSuiteResult:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": "1",
+            "schema_version": "2",
             "suite": "verify-nogo",
             "seed": self.seed,
             "count": self.count,
-            "max_residual": float(f"{self.max_residual:.12g}"),
-            "max_det_deviation": float(f"{self.max_det_deviation:.12g}"),
+            "max_residual": sig12(self.max_residual),
+            "max_det_deviation": sig12(self.max_det_deviation),
             "all_passed": self.all_passed,
             "reports": [r.to_dict() for r in self.reports],
         }
@@ -157,9 +157,9 @@ class OracleSuiteResult:
             "suite": "oracle-check",
             "seed": self.seed,
             "count": self.count,
-            "max_amplitude_deviation": float(f"{self.max_amplitude_deviation:.12g}"),
-            "max_weight_deviation": float(f"{self.max_weight_deviation:.12g}"),
-            "max_overlap_deviation": float(f"{self.max_overlap_deviation:.12g}"),
+            "max_amplitude_deviation": sig12(self.max_amplitude_deviation),
+            "max_weight_deviation": sig12(self.max_weight_deviation),
+            "max_overlap_deviation": sig12(self.max_overlap_deviation),
             "all_passed": self.all_passed,
         }
 
@@ -205,7 +205,8 @@ def run_oracle_suite(
 
         measured = registry.labels[int(rng.integers(0, n_modes))]
         pos = registry.index(measured)
-        weights = dict(outcome_distribution(out_poly, measured))
+        expansion = expand_by_mode(out_poly, measured)
+        weights = dict(enumerate(expansion.weights()))
         reduced_basis = FockBasis(n_modes - 1, degree)
         for outcome in range(degree + 1):
             dense_vec, dense_weight = project_outcome_dense(
@@ -213,8 +214,7 @@ def run_oracle_suite(
             )
             poly_weight = weights.get(outcome, 0.0)
             max_weight = max(max_weight, abs(poly_weight - dense_weight))
-            cond = condition(out_poly, measured, outcome)
-            u = embed(cond.state, reduced_basis)
+            u = embed(expansion.coefficient(outcome), reduced_basis)
             nu, nv = np.linalg.norm(u), np.linalg.norm(dense_vec)
             if nu > 1e-9 and nv > 1e-9:
                 overlap = abs(np.vdot(u, dense_vec)) / (nu * nv)

@@ -3,6 +3,8 @@
 import json
 import math
 
+import pytest
+
 from fockcascade.cli import main
 
 R = 0.7071067811865476  # 1/sqrt(2) at double precision
@@ -189,6 +191,8 @@ class TestVerifyNogo:
         code = main(["verify-nogo", "--count", "5", "--seed", "3", "--out", str(out)])
         assert code == 0
         report = json.loads(out.read_text())
+        assert report["schema_version"] == "2"
+        assert "no_aux" not in report["reports"][0]["pairs"][0]
         assert report["all_passed"] is True
         assert len(report["reports"]) == 5
         assert "PASS" in capsys.readouterr().err
@@ -240,3 +244,99 @@ class TestOracleCheck:
         report = json.loads(out.read_text())
         assert report["all_passed"] is True
         assert "PASS" in capsys.readouterr().err
+
+
+def _with(payload, **fields):
+    return {**payload, **fields}
+
+
+def _photon_terms(*exps):
+    return {"terms": [{"exp": list(e), "re": 1.0, "im": 0.0} for e in exps]}
+
+
+NAN_MATRIX = {
+    "matrix": [
+        [{"re": float("nan"), "im": 0.0}, {"re": 0.0, "im": 0.0}],
+        [{"re": 0.0, "im": 0.0}, {"re": 1.0, "im": 0.0}],
+    ]
+}
+
+
+class TestMalformedInputs:
+    """Each input defect ends on exit 2 with a one-line message, never on a
+    traceback, exit 1 or a silently wrong report."""
+
+    CASES = {
+        "unknown-measured-mode": (
+            ["check"],
+            {
+                "modes": ["a", "b"],
+                "states": [_photon_terms((1, 0)), _photon_terms((0, 1))],
+                "strategy": {"measure": "zz", "branches": {"0": "x"}},
+            },
+        ),
+        "unknown-element-mode": (
+            ["simulate"],
+            pair_instance(
+                {"elements": [{"bs": {"theta": 0.5, "phi": 0.0, "i": "m1", "j": "zz"}}]}
+            ),
+        ),
+        "non-numeric-theta": (
+            ["simulate"],
+            pair_instance({"elements": [{"bs": {"theta": "x", "i": "m1", "j": "m2"}}]}),
+        ),
+        "nan-coefficient": (
+            ["simulate"],
+            _with(
+                pair_instance(IDENTITY_JSON),
+                states=[{"terms": [{"exp": [1, 1], "re": float("nan"), "im": 0.0}]}],
+            ),
+        ),
+        "inf-coefficient": (
+            ["simulate"],
+            _with(
+                pair_instance(IDENTITY_JSON),
+                states=[{"terms": [{"exp": [1, 1], "re": float("inf"), "im": 0.0}]}],
+            ),
+        ),
+        "nan-matrix-entry": (["simulate"], pair_instance(NAN_MATRIX)),
+        "photon-cap-above-170": (
+            ["--photon-cap", "200", "simulate"],
+            _with(pair_instance(IDENTITY_JSON), states=[_photon_terms((171, 0))]),
+        ),
+        "system-role-misses-a-mode": (
+            ["simulate"],
+            _with(pair_instance(IDENTITY_JSON), system_modes=["m2"]),
+        ),
+        "aux-role-misses-a-mode": (
+            ["simulate"],
+            _with(
+                pair_instance(IDENTITY_JSON),
+                modes=["m1", "m2", "b"],
+                states=[_photon_terms((1, 1, 0))],
+                network={"elements": []},
+                aux=_photon_terms((0, 0, 1)),
+                aux_modes=[],
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_with_one_line(self, tmp_path, capsys, case):
+        command, payload = self.CASES[case]
+        path = write(tmp_path, "inst.json", payload)
+        assert main(command + [path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_declared_roles_that_cover_the_states_are_accepted(self, tmp_path):
+        payload = _with(
+            pair_instance(IDENTITY_JSON),
+            modes=["m1", "m2", "b"],
+            states=[_photon_terms((1, 1, 0))],
+            network={"elements": []},
+            aux=_photon_terms((0, 0, 1)),
+            system_modes=["m1", "m2"],
+            aux_modes=["b"],
+        )
+        assert main(["simulate", write(tmp_path, "inst.json", payload)]) == 0

@@ -13,11 +13,16 @@ from fockcascade import (
     StrategyError,
     beam_splitter,
     cascade_discrimination,
+    condition,
     identity,
     necessity_probe,
+    random_network,
     random_nogo_instance,
     stage_orthogonality,
+    substitute,
+    vacuum_inner_product,
 )
+from fockcascade import discriminate, nogo
 from fockcascade.sampling import random_aux_state
 from helpers import orthogonal_states
 
@@ -87,6 +92,45 @@ class TestStageOrthogonality:
         for r in report.records:
             assert 0.0 <= r.weight_i <= 1.0
             assert 0.0 <= r.weight_j <= 1.0
+
+    @pytest.mark.parametrize("n_states", [2, 3, 4])
+    def test_one_substitution_per_state(self, monkeypatch, n_states):
+        # K+1 substitutions and 2K+1 expansions for K states; the records
+        # still match conditioning sub(aux*psi) once per outcome.
+        rng = np.random.default_rng(70 + n_states)
+        reg = ModeRegistry(("s0", "s1", "s2", "b0", "b1"))
+        states = orthogonal_states(rng, reg, ("s0", "s1", "s2"), 2, n_states)
+        aux = random_aux_state(rng, reg, ("b0", "b1"), 2)
+        net = random_network(reg, rng)
+        inst = DiscriminationInstance(states=tuple(states), aux=aux)
+        calls = {"substitute": 0, "expand_by_mode": 0, "condition": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            for module in (nogo, discriminate):
+                for name in calls:
+                    if hasattr(module, name):
+                        patch.setattr(module, name, counted(name, getattr(module, name)))
+            report = stage_orthogonality(inst, net, "s0")
+        assert calls == {
+            "substitute": n_states + 1,
+            "expand_by_mode": 2 * n_states + 1,
+            "condition": 0,
+        }
+        totals = [substitute(aux * psi, net) for psi in states]
+        for r in report.records:
+            cond_i = condition(totals[r.i], "s0", r.outcome)
+            cond_j = condition(totals[r.j], "s0", r.outcome)
+            assert abs(r.weight_i - cond_i.weight) <= 1e-12
+            assert abs(r.weight_j - cond_j.weight) <= 1e-12
+            want = vacuum_inner_product(cond_i.state, cond_j.state)
+            assert abs(r.inner_product - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def full_measurement_strategy(reg, total_photons=1, network=None, depth_labels=("m1", "m2")):

@@ -17,7 +17,6 @@ from fockcascade import (
     expand_by_mode,
     from_matrix,
     identity,
-    no_aux_overlap_vector,
     overlap_component,
     overlap_component_recursive,
     random_nogo_instance,
@@ -417,8 +416,6 @@ class TestVerifyNoGo:
                 v = np.array(pair.with_aux)
                 u = np.array(pair.coefficient)
                 assert np.abs(v - u).max() <= 1e-10 * max(1.0, np.abs(v).max())
-                # the no-aux conditioning route agrees as well
-                assert np.abs(np.array(pair.no_aux) - u).max() <= 1e-10
 
     def test_zero_coefficient_vector_forces_zero_overlaps(self):
         # States whose expansion coefficients are pairwise orthogonal stay
@@ -480,26 +477,11 @@ class TestVerifyNoGo:
         assert len(parsed["transfer_matrix"]) == report.system_order + 1
 
 
-class TestNoAuxVector:
-    def test_matches_coefficient_route(self):
-        rng = np.random.default_rng(59)
-        for _ in range(5):
-            inst = random_nogo_instance(rng)
-            u_cond = no_aux_overlap_vector(
-                inst.states[0], inst.states[1], inst.network, inst.measured
-            )
-            u_coeff = coefficient_overlap_vector(
-                inst.states[0], inst.states[1], inst.network, inst.measured
-            )
-            assert np.abs(u_cond - u_coeff).max() <= 1e-10 * max(
-                1.0, np.abs(u_coeff).max()
-            )
-
-
 class TestRouteEquivalence:
     def test_pair_vectors_match_product_substitution_route(self):
-        # verify_no_go reads V and the no-aux overlaps from sub(aux)*sub(psi);
-        # the reference substitutes aux*psi and conditions once per outcome.
+        # verify_no_go reads V from sub(aux)*sub(psi) and U' from the same
+        # expansions; the references substitute aux*psi and condition once
+        # per outcome, and expand each bare state on its own.
         rng = np.random.default_rng(60)
         superposed = 0
         for k in range(12):
@@ -520,7 +502,7 @@ class TestRouteEquivalence:
                 args = (inst.network, inst.measured, report.system_order)
                 for got, want in (
                     (pair.with_aux, conditional_overlap_vector(inst.aux, psi_i, psi_j, *args)),
-                    (pair.no_aux, no_aux_overlap_vector(psi_i, psi_j, *args)),
+                    (pair.coefficient, coefficient_overlap_vector(psi_i, psi_j, *args)),
                 ):
                     scale = np.abs(want).max()
                     assert scale > 0.0
