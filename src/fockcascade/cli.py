@@ -29,7 +29,7 @@ from .errors import (
 from .instancefile import load_instance
 from .measurement import condition
 from .modes import DEFAULT_PHOTON_CAP
-from .network import identity, substitute
+from .network import CONSTRUCTION_TOL, identity, substitute
 from .poly import sig12
 from .suites import SuiteCapError, run_nogo_suite, run_oracle_suite
 
@@ -135,7 +135,6 @@ def _cmd_verify_nogo(args) -> int:
         max_aux_modes=args.max_aux_modes,
         max_photons=args.max_photons,
         max_aux_photons=args.max_aux_photons,
-        corruption=args.inject_corruption,
     )
     _emit(result.to_dict(), args.out)
     print(result.summary(), file=sys.stderr)
@@ -165,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-mode occupation cap (default %(default)s)",
     )
     parser.add_argument(
-        "--tolerance", type=float, default=1e-10,
+        "--tolerance", type=float, default=CONSTRUCTION_TOL,
         help="unitarity tolerance for loaded networks (default %(default)s)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -196,9 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-aux-modes", type=int, default=2)
     p.add_argument("--max-photons", type=int, default=3)
     p.add_argument("--max-aux-photons", type=int, default=2)
-    p.add_argument(
-        "--inject-corruption", type=float, default=0.0, help=argparse.SUPPRESS
-    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify_nogo)
 

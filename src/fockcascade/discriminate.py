@@ -25,13 +25,7 @@ import numpy as np
 from .errors import StrategyError
 from .measurement import CascadeStage, run_cascade, validate_strategy
 from .network import LinearNetwork
-from .nogo import (
-    aux_transfer_tables,
-    transfer_matrix,
-    transformed_expansions,
-    _check_aux,
-    _check_states,
-)
+from .nogo import transformed_expansions, verify_no_go, _check_aux, _check_states
 from .poly import CreationPolynomial, sig12, vacuum_inner_product, vacuum_norm_sq
 
 INPUT_ORTHOGONALITY_TOL = 1e-10
@@ -297,43 +291,38 @@ def necessity_probe(
     small numerical slack, and asserts the implication "no-aux overlaps
     nonzero implies with-aux overlaps nonzero".
     """
-    expansions = transformed_expansions(instance.aux, instance.states, net, measured)
-    tables = aux_transfer_tables(expansions.aux, expansions.system_order)
-    m_prime = transfer_matrix(tables)
-    sigma_min = float(np.linalg.svd(m_prime, compute_uv=False).min())
+    report = verify_no_go(instance.aux, instance.states, net, measured)
+    sigma_min = float(np.linalg.svd(np.array(report.transfer), compute_uv=False).min())
 
     pairs = []
-    for i in range(len(instance.states)):
-        for j in range(i + 1, len(instance.states)):
-            u_prime = expansions.coefficient_overlaps(i, j)
-            v_vec = expansions.with_aux_overlaps(i, j)
-            u_norm = float(np.linalg.norm(u_prime))
-            v_norm = float(np.linalg.norm(v_vec))
-            lower = sigma_min * u_norm - PROBE_SLACK
-            bound_holds = v_norm >= lower
-            u_nonzero = u_norm > ORTHOGONALITY_TOL
-            if not u_nonzero:
-                implication = True
-            elif lower > 0.0:
-                # The bound certifies a strictly positive with-aux norm.
-                implication = v_norm >= lower
-            else:
-                # Bound too weak to falsify numerically at this scale.
-                implication = True
-            pairs.append(
-                PairProbe(
-                    i=i,
-                    j=j,
-                    no_aux_norm=u_norm,
-                    with_aux_norm=v_norm,
-                    lower_bound=lower,
-                    bound_holds=bound_holds,
-                    implication_holds=bool(implication),
-                )
+    for pair in report.pairs:
+        u_norm = float(np.linalg.norm(np.array(pair.coefficient)))
+        v_norm = float(np.linalg.norm(np.array(pair.with_aux)))
+        lower = sigma_min * u_norm - PROBE_SLACK
+        bound_holds = v_norm >= lower
+        u_nonzero = u_norm > ORTHOGONALITY_TOL
+        if not u_nonzero:
+            implication = True
+        elif lower > 0.0:
+            # The bound certifies a strictly positive with-aux norm.
+            implication = v_norm >= lower
+        else:
+            # Bound too weak to falsify numerically at this scale.
+            implication = True
+        pairs.append(
+            PairProbe(
+                i=pair.i,
+                j=pair.j,
+                no_aux_norm=u_norm,
+                with_aux_norm=v_norm,
+                lower_bound=lower,
+                bound_holds=bound_holds,
+                implication_holds=bool(implication),
             )
+        )
     return ProbeReport(
         sigma_min=sigma_min,
-        diagonal_value=tables.leading_aux_norm,
+        diagonal_value=report.leading_aux_norm,
         pairs=tuple(pairs),
         all_hold=all(p.bound_holds and p.implication_holds for p in pairs),
     )

@@ -29,7 +29,7 @@ from typing import Mapping
 from .errors import SchemaError
 from .measurement import CascadeStage, strategy_from_dict
 from .modes import DEFAULT_PHOTON_CAP, ModeRegistry
-from .network import LinearNetwork, network_from_dict
+from .network import CONSTRUCTION_TOL, LinearNetwork, network_from_dict
 from .poly import CreationPolynomial
 
 _TOP_FIELDS = {
@@ -117,7 +117,7 @@ def _check_network_dict(data, where: str) -> None:
 def parse_instance(
     data,
     photon_cap: int = DEFAULT_PHOTON_CAP,
-    unitarity_tol: float = 1e-10,
+    unitarity_tol: float = CONSTRUCTION_TOL,
 ) -> Instance:
     """Validate a decoded instance object and build the typed pieces.
 
@@ -212,7 +212,7 @@ def parse_instance(
 def load_instance(
     path: str,
     photon_cap: int = DEFAULT_PHOTON_CAP,
-    unitarity_tol: float = 1e-10,
+    unitarity_tol: float = CONSTRUCTION_TOL,
 ) -> Instance:
     try:
         with open(path, "r", encoding="utf-8") as handle:

@@ -25,7 +25,7 @@ from typing import Mapping, Union
 
 from .errors import StrategyError, ZeroStateError
 from .modes import ModeRegistry
-from .network import LinearNetwork, network_from_dict, substitute
+from .network import CONSTRUCTION_TOL, LinearNetwork, network_from_dict, substitute
 from .poly import CreationPolynomial, Exponents, factorial, sig12, vacuum_norm_sq
 
 
@@ -289,10 +289,12 @@ def validate_strategy(
 
 
 def strategy_from_dict(
-    data: Mapping, registry: ModeRegistry, tol: float = 1e-10
+    data: Mapping, registry: ModeRegistry, tol: float = CONSTRUCTION_TOL
 ) -> CascadeStage:
     """Recursive strategy JSON: {"network": ... | null, "measure": ...,
     "branches": {"<N>": <stage or leaf label>}}."""
+    if not isinstance(data, Mapping):
+        raise StrategyError(f"strategy stage must be an object, got {data!r}")
     allowed = {"network", "measure", "branches"}
     unknown = set(data) - allowed
     if unknown:
@@ -308,7 +310,10 @@ def strategy_from_dict(
         net = network_from_dict(data["network"], registry, tol)
     branches: dict[int, Branch] = {}
     reduced = registry.without(measure)
-    for key, value in data.get("branches", {}).items():
+    raw_branches = data.get("branches", {})
+    if not isinstance(raw_branches, Mapping):
+        raise StrategyError(f"strategy branches must be an object, got {raw_branches!r}")
+    for key, value in raw_branches.items():
         try:
             n = int(key)
         except (TypeError, ValueError):

@@ -14,9 +14,7 @@ and Haar-random sampling for tests.
 
 from __future__ import annotations
 
-import functools
 import json
-import operator
 from typing import Mapping
 
 import numpy as np
@@ -135,36 +133,35 @@ def substitute(state: CreationPolynomial, net: LinearNetwork) -> CreationPolynom
     if state.is_zero():
         return state
 
-    # Linear image of each input mode, then cached powers per mode.
+    # Linear image of each input mode.
+    size = registry.size
     images: list[CreationPolynomial] = []
-    for i in range(registry.size):
+    for i in range(size):
         col = {
-            _unit(registry.size, j): net.matrix[j, i]
-            for j in range(registry.size)
+            _unit(size, j): net.matrix[j, i]
+            for j in range(size)
             if net.matrix[j, i] != 0
         }
         images.append(CreationPolynomial(registry, col))
-    powers: dict[tuple[int, int], CreationPolynomial] = {}
 
-    def image_power(i: int, e: int) -> CreationPolynomial:
-        key = (i, e)
-        if key not in powers:
-            if e == 1:
-                powers[key] = images[i]
-            else:
-                powers[key] = image_power(i, e - 1) * images[i]
-        return powers[key]
+    def nested(terms: list[tuple[Exponents, complex]], k: int) -> CreationPolynomial:
+        """Image of ``terms`` over modes k.. in Horner form in mode k:
+        out = out * image_k + (terms with a_k^n), from the top power n down,
+        so every multiply is by a linear form."""
+        if k == size:
+            return CreationPolynomial._trusted(registry, {(0,) * size: terms[0][1]})
+        by_power: dict[int, list[tuple[Exponents, complex]]] = {}
+        for exps, coeff in terms:
+            by_power.setdefault(exps[k], []).append((exps, coeff))
+        top = max(by_power)
+        out = nested(by_power[top], k + 1)
+        for n in range(top - 1, -1, -1):
+            out = out * images[k]
+            if n in by_power:
+                out = out + nested(by_power[n], k + 1)
+        return out
 
-    # Sum every expanded term into one dict; building a polynomial per
-    # partial sum would copy the running total once per term.
-    one = CreationPolynomial.constant(registry)
-    total: dict[Exponents, complex] = {}
-    for exps, coeff in state.items():
-        factors = [image_power(i, e) for i, e in enumerate(exps) if e]
-        term = functools.reduce(operator.mul, factors) if factors else one
-        for key, c in term.items():
-            total[key] = total.get(key, 0.0) + coeff * c
-    return CreationPolynomial._trusted(registry, total)
+    return nested(list(state.items()), 0)
 
 
 def _unit(size: int, j: int) -> Exponents:
@@ -180,17 +177,21 @@ def network_from_dict(data: Mapping, registry: ModeRegistry, tol: float = CONSTR
     ``{"elements": [...]}`` where each element is ``{"bs": {"theta", "phi",
     "i", "j"}}`` or ``{"ps": {"phi", "i"}}``, composed left to right.
     """
+    if not isinstance(data, Mapping):
+        raise SchemaError(f"network must be an object, got {data!r}")
     if "matrix" in data:
         rows = data["matrix"]
-        m = np.array(
-            [[complex(cell["re"], cell["im"]) for cell in row] for row in rows]
-        )
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise SchemaError("network 'matrix' must be a list of rows")
+        m = np.array([[_matrix_entry(cell) for cell in row] for row in rows])
         return LinearNetwork(m, registry, tol)
     if "elements" in data:
+        if not isinstance(data["elements"], list):
+            raise SchemaError("network 'elements' must be a list")
         net = identity(registry)
         for element in data["elements"]:
-            if "bs" in element:
-                spec = element["bs"]
+            kind, spec = _element_spec(element)
+            if kind == "bs":
                 stage = beam_splitter(
                     _element_angle(spec, "theta"),
                     _element_angle(spec, "phi", 0.0),
@@ -198,21 +199,37 @@ def network_from_dict(data: Mapping, registry: ModeRegistry, tol: float = CONSTR
                     _element_mode(spec, "j", registry),
                     registry,
                 )
-            elif "ps" in element:
-                spec = element["ps"]
+            else:
                 stage = phase_shifter(
                     _element_angle(spec, "phi"), _element_mode(spec, "i", registry), registry
                 )
-            else:
-                raise ValueError(f"unknown network element {element}")
             net = compose(net, stage)
         return net
     raise ValueError("network object needs a 'matrix' or 'elements' field")
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _matrix_entry(cell) -> complex:
+    if not (isinstance(cell, Mapping) and _is_real(cell.get("re")) and _is_real(cell.get("im"))):
+        raise SchemaError(f"network matrix entry must be {{\"re\": x, \"im\": y}}, got {cell!r}")
+    return complex(cell["re"], cell["im"])
+
+
+def _element_spec(element) -> tuple[str, Mapping]:
+    """The kind (``bs`` or ``ps``) of a one-key network element and its fields."""
+    if isinstance(element, Mapping) and len(element) == 1:
+        ((kind, spec),) = element.items()
+        if kind in ("bs", "ps") and isinstance(spec, Mapping):
+            return kind, spec
+    raise ValueError(f"unknown network element {element!r}: expected {{\"bs\": {{...}}}} or {{\"ps\": {{...}}}}")
+
+
 def _element_angle(spec: Mapping, key: str, default: float | None = None) -> float:
     value = spec.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_real(value):
         raise SchemaError(f"network element field {key!r} must be a real number, got {value!r}")
     return float(value)
 

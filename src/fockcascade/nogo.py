@@ -503,11 +503,7 @@ def verify_no_go(
     states: Sequence[CreationPolynomial],
     net: LinearNetwork,
     measured: str,
-    residual_tol: float = RESIDUAL_TOL,
-    det_tol: float = DET_TOL,
-    diag_tol: float = DIAG_TOL,
     description: str = "",
-    _corrupt_transfer: float = 0.0,
 ) -> NoGoReport:
     """Run both computational routes on every state pair and compare.
 
@@ -515,10 +511,10 @@ def verify_no_go(
     overlap vector; the table route predicts it from the coefficient overlaps.
     The instance passes when every pair residual satisfies
 
-        max|V - M'U'| <= residual_tol * max(1, max|V|),
+        max|V - M'U'| <= RESIDUAL_TOL * max(1, max|V|),
 
     the transfer matrix is lower-triangular with constant diagonal D (within
-    diag_tol relative), its determinant matches D^(n_s+1) within det_tol
+    DIAG_TOL relative), its determinant matches D^(n_s+1) within DET_TOL
     relative, and the zero-vector conditions agree pairwise.
     """
     _check_states(states)
@@ -529,18 +525,15 @@ def verify_no_go(
 
     tables = aux_transfer_tables(expansions.aux, n_s)
     m_prime = transfer_matrix(tables)
-    if _corrupt_transfer:
-        # Failure-path test hook: damage a diagonal entry so the checks trip.
-        m_prime[n_s, n_s] += _corrupt_transfer
     d = tables.leading_aux_norm
 
     determinant = exact_determinant(m_prime)
     determinant_expected = d ** (n_s + 1)
     determinant_ok = (
-        abs(determinant - determinant_expected) <= det_tol * determinant_expected
+        abs(determinant - determinant_expected) <= DET_TOL * determinant_expected
     )
     diagonal_ok = all(
-        abs(m_prime[s, s] - d) <= diag_tol * abs(d) for s in range(n_s + 1)
+        abs(m_prime[s, s] - d) <= DIAG_TOL * abs(d) for s in range(n_s + 1)
     )
     triangular_ok = bool(np.all(np.triu(m_prime, 1) == 0.0))
 
@@ -556,7 +549,7 @@ def verify_no_go(
             u_prime = expansions.coefficient_overlaps(i, j)
             predicted = m_prime @ u_prime
             residual = float(np.abs(v_vec - predicted).max())
-            bound = residual_tol * max(1.0, float(np.abs(v_vec).max()))
+            bound = RESIDUAL_TOL * max(1.0, float(np.abs(v_vec).max()))
 
             u_scale = max(
                 max(a * b for a, b in zip(norm_scale[i], norm_scale[j])), 1.0

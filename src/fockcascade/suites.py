@@ -76,14 +76,12 @@ def run_nogo_suite(
     max_aux_modes: int = 2,
     max_photons: int = 3,
     max_aux_photons: int = 2,
-    corruption: float = 0.0,
 ) -> NoGoSuiteResult:
     """Randomized end-to-end verification of the transfer identity.
 
     Draws ``count`` seeded instances within the size caps, runs
     :func:`verify_no_go` on each, and aggregates the worst residual and
-    determinant deviation.  ``corruption`` (test hook) damages the transfer
-    matrix to exercise the failure path.
+    determinant deviation.
     """
     _check_caps(
         count=count,
@@ -112,7 +110,6 @@ def run_nogo_suite(
                 instance.network,
                 instance.measured,
                 description=f"instance {idx}: {instance.description}",
-                _corrupt_transfer=corruption,
             )
         )
     elapsed = time.perf_counter() - start

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from fockcascade import nogo
 from fockcascade.cli import main
 
 R = 0.7071067811865476  # 1/sqrt(2) at double precision
@@ -204,10 +205,18 @@ class TestVerifyNogo:
         main(["verify-nogo", "--count", "4", "--seed", "12", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_corruption_fails(self, tmp_path, capsys):
+    def test_corruption_fails(self, tmp_path, capsys, monkeypatch):
+        transfer_matrix = nogo.transfer_matrix
+
+        def corrupted(tables):
+            m = transfer_matrix(tables)
+            m[-1, -1] += 0.5
+            return m
+
+        monkeypatch.setattr(nogo, "transfer_matrix", corrupted)
         code = main(
             ["verify-nogo", "--count", "3", "--seed", "3",
-             "--inject-corruption", "0.5", "--out", str(tmp_path / "r.json")]
+             "--out", str(tmp_path / "r.json")]
         )
         assert code == 1
         assert "FAIL" in capsys.readouterr().err
@@ -318,6 +327,33 @@ class TestMalformedInputs:
                 aux=_photon_terms((0, 0, 1)),
                 aux_modes=[],
             ),
+        ),
+        "element-fields-not-an-object": (
+            ["simulate"],
+            pair_instance({"elements": [{"bs": [1]}]}),
+        ),
+        "element-not-an-object": (["simulate"], pair_instance({"elements": ["bs"]})),
+        "matrix-cell-string": (
+            ["simulate"],
+            pair_instance(
+                {"matrix": [[{"re": "x", "im": 0}, {"re": 0.0, "im": 0.0}],
+                            [{"re": 0.0, "im": 0.0}, {"re": 1.0, "im": 0.0}]]}
+            ),
+        ),
+        "matrix-cell-without-im": (
+            ["simulate"],
+            pair_instance(
+                {"matrix": [[{"re": 1.0}, {"re": 0.0, "im": 0.0}],
+                            [{"re": 0.0, "im": 0.0}, {"re": 1.0, "im": 0.0}]]}
+            ),
+        ),
+        "branches-a-list": (
+            ["check"],
+            {
+                "modes": ["a", "b"],
+                "states": [_photon_terms((1, 0)), _photon_terms((0, 1))],
+                "strategy": {"measure": "a", "branches": [1]},
+            },
         ),
     }
 

@@ -163,6 +163,33 @@ class TestSubstitute:
                 substitute(substitute(state, a), b), tol=1e-9
             )
 
+    def test_every_product_has_a_linear_factor(self, monkeypatch):
+        # Nested (Horner) substitution multiplies only by the linear image of
+        # one mode, never a power of an image by another power.
+        degrees = []
+        original = CreationPolynomial.__mul__
+
+        def recording(self, other):
+            if isinstance(other, CreationPolynomial):
+                degrees.append((self.degree, other.degree))
+            return original(self, other)
+
+        state = CreationPolynomial.monomial(REG2, {"m1": 2, "m2": 2})
+        monkeypatch.setattr(CreationPolynomial, "__mul__", recording)
+        out = substitute(state, beam_splitter(np.pi / 4, 0.0, "m1", "m2", REG2))
+        monkeypatch.undo()
+        assert degrees and all(min(pair) <= 1 for pair in degrees), degrees
+        # (c1 - c2)^2 (c1 + c2)^2 / 4 = (c1^2 - c2^2)^2 / 4
+        assert abs(out.coefficient((4, 0)) - 0.25) < 1e-12
+        assert abs(out.coefficient((2, 2)) + 0.5) < 1e-12
+        assert abs(out.coefficient((3, 1))) < 1e-12
+
+    def test_photon_cap_raised_through_a_splitter(self):
+        reg = ModeRegistry(("a1", "a2"), photon_cap=20)
+        state = CreationPolynomial.mode(reg, "a1", 12) * CreationPolynomial.mode(reg, "a2", 12)
+        with pytest.raises(PhotonCapError):
+            substitute(state, beam_splitter(np.pi / 4, 0.0, "a1", "a2", reg))
+
 
 small_terms = st.dictionaries(
     st.tuples(*[st.integers(min_value=0, max_value=2)] * 3),

@@ -435,16 +435,18 @@ class TestVerifyNoGo:
         assert report.pairs[0].with_aux_zero
         assert report.pairs[0].zero_equivalent
 
-    def test_corruption_hook_fails(self):
+    def test_corruption_hook_fails(self, monkeypatch):
+        transfer_matrix = nogo.transfer_matrix
+
+        def corrupted(tables):
+            m = transfer_matrix(tables)
+            m[-1, -1] += 0.5
+            return m
+
+        monkeypatch.setattr(nogo, "transfer_matrix", corrupted)
         rng = np.random.default_rng(57)
         inst = random_nogo_instance(rng, force_aux_photons=True)
-        report = verify_no_go(
-            inst.aux,
-            inst.states,
-            inst.network,
-            inst.measured,
-            _corrupt_transfer=0.5,
-        )
+        report = verify_no_go(inst.aux, inst.states, inst.network, inst.measured)
         assert not report.passed
 
     def test_validation_errors(self):
