@@ -35,5 +35,9 @@ class StrategyError(FockCascadeError):
     """A measurement cascade strategy is malformed or references consumed modes."""
 
 
-class SchemaError(FockCascadeError):
-    """An input file does not match the expected JSON schema."""
+class SchemaError(FockCascadeError, ValueError):
+    """An input file does not match the expected JSON schema.
+
+    It is also a ValueError, so a caller that catches ValueError for a
+    malformed value (a network object without a shape, say) catches it too.
+    """

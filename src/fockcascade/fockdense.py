@@ -10,8 +10,11 @@ the matrix exponential of its second-quantized generator:
     U = exp(h)   (h anti-Hermitian)   ->   exp( sum_ij h[i,j] a^dag_i a_j )
 
 built directly from ladder-operator matrix elements.  The generator preserves
-total photon number, so the lift is exact on the truncated space.  No
-polynomial expansion or permanent appears anywhere in this path.
+total photon number, so the lift is exact on the truncated space, and the
+operator is exponentiated one photon-number sector at a time: each sector is
+a contiguous block of the graded basis, and every entry between two sectors
+is an exact zero.  No polynomial expansion or permanent appears anywhere in
+this path.
 
 Intended for small problems only (roughly up to 6 modes and 6 photons).
 """
@@ -31,11 +34,12 @@ class FockBasis:
     """Occupation-number basis with a total-photon cap.
 
     ``states[k]`` is the k-th occupation tuple in graded lexicographic order;
-    ``index[occ]`` inverts the enumeration.  The dimension is
+    ``index[occ]`` inverts the enumeration; ``sectors[n]`` is the slice of
+    indices holding the states with n photons in total.  The dimension is
     C(mode_count + photon_cap, mode_count).
     """
 
-    __slots__ = ("mode_count", "photon_cap", "states", "index")
+    __slots__ = ("mode_count", "photon_cap", "states", "index", "sectors")
 
     def __init__(self, mode_count: int, photon_cap: int):
         if mode_count < 1 or photon_cap < 0:
@@ -43,6 +47,7 @@ class FockBasis:
         self.mode_count = mode_count
         self.photon_cap = photon_cap
         states: list[tuple[int, ...]] = []
+        sectors = []
         for total in range(photon_cap + 1):
             level = set()
             for combo in combinations_with_replacement(range(mode_count), total):
@@ -50,8 +55,11 @@ class FockBasis:
                 for mode in combo:
                     occ[mode] += 1
                 level.add(tuple(occ))
+            start = len(states)
             states.extend(sorted(level))
+            sectors.append(slice(start, len(states)))
         self.states = tuple(states)
+        self.sectors = tuple(sectors)
         self.index = {occ: k for k, occ in enumerate(states)}
 
     @property
@@ -110,9 +118,14 @@ def _lift_generator(h: np.ndarray, basis: FockBasis) -> np.ndarray:
 
 
 def fock_unitary(mode_unitary: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Dense Fock-space operator implementing a mode unitary."""
-    h = _mode_generator(mode_unitary)
-    return scipy.linalg.expm(_lift_generator(h, basis))
+    """Dense Fock-space operator implementing a mode unitary, exponentiated
+    one photon-number sector at a time (entries between sectors are exact
+    zeros)."""
+    gen = _lift_generator(_mode_generator(mode_unitary), basis)
+    out = np.zeros_like(gen)
+    for sector in basis.sectors:
+        out[sector, sector] = scipy.linalg.expm(gen[sector, sector])
+    return out
 
 
 def apply_network_dense(vec: np.ndarray, mode_unitary: np.ndarray, basis: FockBasis) -> np.ndarray:

@@ -45,7 +45,6 @@ _TOP_FIELDS = {
 }
 _POLY_FIELDS = {"modes", "terms"}
 _TERM_FIELDS = {"exp", "re", "im"}
-_NETWORK_FIELDS = {"matrix", "elements"}
 
 
 @dataclass(frozen=True)
@@ -102,16 +101,6 @@ def _check_poly_dict(data, where: str) -> None:
                 isinstance(term[key], (int, float)) and not isinstance(term[key], bool),
                 f"{where}.terms[{k}].{key} must be a number",
             )
-
-
-def _check_network_dict(data, where: str) -> None:
-    _require(isinstance(data, Mapping), f"{where} must be an object")
-    unknown = set(data) - _NETWORK_FIELDS
-    _require(not unknown, f"{where} has unknown fields {sorted(unknown)}")
-    _require(
-        ("matrix" in data) != ("elements" in data),
-        f"{where} needs exactly one of 'matrix' or 'elements'",
-    )
 
 
 def parse_instance(
@@ -182,12 +171,10 @@ def parse_instance(
 
     networks: dict[str, LinearNetwork] = {}
     if "network" in data:
-        _check_network_dict(data["network"], "network")
         networks["main"] = network_from_dict(data["network"], registry, unitarity_tol)
     if "networks" in data:
         _require(isinstance(data["networks"], Mapping), "'networks' must be an object")
         for name, raw in data["networks"].items():
-            _check_network_dict(raw, f"networks[{name}]")
             networks[str(name)] = network_from_dict(raw, registry, unitarity_tol)
 
     strategy = None

@@ -25,6 +25,7 @@ from .poly import CreationPolynomial, Exponents
 
 CONSTRUCTION_TOL = 1e-10
 COMPOSITION_TOL = 1e-8
+_NETWORK_FIELDS = {"matrix", "elements"}
 
 
 class LinearNetwork:
@@ -175,37 +176,42 @@ def network_from_dict(data: Mapping, registry: ModeRegistry, tol: float = CONSTR
 
     Two shapes are accepted: ``{"matrix": [[{re, im}, ...], ...]}`` or
     ``{"elements": [...]}`` where each element is ``{"bs": {"theta", "phi",
-    "i", "j"}}`` or ``{"ps": {"phi", "i"}}``, composed left to right.
+    "i", "j"}}`` or ``{"ps": {"phi", "i"}}``, composed left to right.  An object
+    with both shapes, neither, or any other field raises SchemaError, for the
+    networks of an instance and of a strategy stage alike.
     """
     if not isinstance(data, Mapping):
         raise SchemaError(f"network must be an object, got {data!r}")
+    unknown = set(data) - _NETWORK_FIELDS
+    if unknown:
+        raise SchemaError(f"network has unknown fields {sorted(unknown)}")
+    if ("matrix" in data) == ("elements" in data):
+        raise SchemaError("network needs exactly one of 'matrix' or 'elements'")
     if "matrix" in data:
         rows = data["matrix"]
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise SchemaError("network 'matrix' must be a list of rows")
         m = np.array([[_matrix_entry(cell) for cell in row] for row in rows])
         return LinearNetwork(m, registry, tol)
-    if "elements" in data:
-        if not isinstance(data["elements"], list):
-            raise SchemaError("network 'elements' must be a list")
-        net = identity(registry)
-        for element in data["elements"]:
-            kind, spec = _element_spec(element)
-            if kind == "bs":
-                stage = beam_splitter(
-                    _element_angle(spec, "theta"),
-                    _element_angle(spec, "phi", 0.0),
-                    _element_mode(spec, "i", registry),
-                    _element_mode(spec, "j", registry),
-                    registry,
-                )
-            else:
-                stage = phase_shifter(
-                    _element_angle(spec, "phi"), _element_mode(spec, "i", registry), registry
-                )
-            net = compose(net, stage)
-        return net
-    raise ValueError("network object needs a 'matrix' or 'elements' field")
+    if not isinstance(data["elements"], list):
+        raise SchemaError("network 'elements' must be a list")
+    net = identity(registry)
+    for element in data["elements"]:
+        kind, spec = _element_spec(element)
+        if kind == "bs":
+            stage = beam_splitter(
+                _element_angle(spec, "theta"),
+                _element_angle(spec, "phi", 0.0),
+                _element_mode(spec, "i", registry),
+                _element_mode(spec, "j", registry),
+                registry,
+            )
+        else:
+            stage = phase_shifter(
+                _element_angle(spec, "phi"), _element_mode(spec, "i", registry), registry
+            )
+        net = compose(net, stage)
+    return net
 
 
 def _is_real(value) -> bool:

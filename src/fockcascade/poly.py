@@ -33,6 +33,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import operator
 from typing import Iterator, Mapping, Sequence
 
 from .errors import PhotonCapError
@@ -225,7 +226,7 @@ class CreationPolynomial:
             out: dict[Exponents, complex] = {}
             for ea, ca in self._terms.items():
                 for eb, cb in other._terms.items():
-                    key = tuple(x + y for x, y in zip(ea, eb))
+                    key = tuple(map(operator.add, ea, eb))
                     out[key] = out.get(key, 0.0) + ca * cb
             if self.degree + other.degree <= self.registry.photon_cap:
                 return CreationPolynomial._trusted(self.registry, out)

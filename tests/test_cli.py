@@ -355,6 +355,18 @@ class TestMalformedInputs:
                 "strategy": {"measure": "a", "branches": [1]},
             },
         ),
+        "stage-network-with-both-shapes-and-an-unknown-field": (
+            ["check"],
+            {
+                "modes": ["m1", "m2"],
+                "states": [_photon_terms((1, 0)), _photon_terms((0, 1))],
+                "strategy": {
+                    "network": {**IDENTITY_JSON, "elements": [], "surprise": True},
+                    "measure": "m1",
+                    "branches": {"0": "x", "1": "y"},
+                },
+            },
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

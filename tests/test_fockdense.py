@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fockcascade import (
     CreationPolynomial,
@@ -13,11 +14,14 @@ from fockcascade import (
     embed,
     fock_unitary,
     from_matrix,
+    haar_random_unitary,
     project_outcome_dense,
     random_network,
     run_oracle_suite,
     substitute,
 )
+from fockcascade import fockdense
+from fockcascade.fockdense import _lift_generator, _mode_generator
 from helpers import random_poly
 
 REG2 = ModeRegistry(("c", "d"))
@@ -111,7 +115,35 @@ class TestDenseEvolution:
         for r, occ_r in enumerate(basis.states):
             for c, occ_c in enumerate(basis.states):
                 if sum(occ_r) != sum(occ_c):
-                    assert abs(u[r, c]) < 1e-12
+                    assert u[r, c] == 0
+
+    def test_sectors_agree_with_whole_space_expm(self):
+        rng = np.random.default_rng(36)
+        for modes in range(2, 7):
+            for cap in range(1, 7):
+                basis = FockBasis(modes, cap)
+                mode_unitary = haar_random_unitary(modes, rng)
+                u = fock_unitary(mode_unitary, basis)
+                whole = scipy.linalg.expm(
+                    _lift_generator(_mode_generator(mode_unitary), basis)
+                )
+                assert np.abs(u - whole).max() < 1e-12, (modes, cap)
+                unitarity = np.abs(u.conj().T @ u - np.eye(basis.dimension)).max()
+                assert unitarity < 1e-12, (modes, cap)
+
+    def test_one_expm_per_photon_number_sector(self, monkeypatch):
+        shapes = []
+        expm = scipy.linalg.expm
+
+        def recording_expm(a):
+            shapes.append(a.shape)
+            return expm(a)
+
+        monkeypatch.setattr(fockdense.scipy.linalg, "expm", recording_expm)
+        basis = FockBasis(6, 6)
+        fock_unitary(haar_random_unitary(6, np.random.default_rng(37)), basis)
+        assert len(shapes) == 7
+        assert max(shapes) == (462, 462)
 
 
 class TestProjection:
@@ -142,4 +174,9 @@ class TestProjection:
 
 def test_quick_equivalence_suite():
     result = run_oracle_suite(count=20, seed=19)
+    assert result.all_passed, result.summary()
+
+
+def test_equivalence_suite_at_the_largest_size():
+    result = run_oracle_suite(count=10, seed=23, max_modes=6, max_photons=6)
     assert result.all_passed, result.summary()
