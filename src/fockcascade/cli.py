@@ -45,8 +45,11 @@ EXIT_CAPS = 4
 def _emit(report: dict, out_path: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise SchemaError(f"cannot write {out_path}: {exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -209,15 +209,14 @@ def cascade_discrimination(instance: DiscriminationInstance) -> CascadeReport:
     for idx, total in enumerate(totals):
         tree = run_cascade(total, instance.strategy)
         for leaf in tree.leaves():
+            # A history's label and coverage come from the strategy branch
+            # there alone, so the first input to reach it sets them.
             entry = leaf_map.setdefault(
                 leaf.history,
                 {"label": leaf.label, "covered": leaf.covered,
                  "probs": [0.0] * len(totals)},
             )
             entry["probs"][idx] = leaf.probability
-            if not leaf.zero_weight:
-                entry["label"] = leaf.label
-                entry["covered"] = leaf.covered
 
     leaves = []
     for history in sorted(leaf_map):
@@ -300,15 +299,9 @@ def necessity_probe(
         v_norm = float(np.linalg.norm(np.array(pair.with_aux)))
         lower = sigma_min * u_norm - PROBE_SLACK
         bound_holds = v_norm >= lower
-        u_nonzero = u_norm > ORTHOGONALITY_TOL
-        if not u_nonzero:
-            implication = True
-        elif lower > 0.0:
-            # The bound certifies a strictly positive with-aux norm.
-            implication = v_norm >= lower
-        else:
-            # Bound too weak to falsify numerically at this scale.
-            implication = True
+        # Only a nonzero U' with a positive bound can falsify the implication;
+        # a bound at or below zero is too weak to test at this scale.
+        implication = not (u_norm > ORTHOGONALITY_TOL and lower > 0.0 and v_norm < lower)
         pairs.append(
             PairProbe(
                 i=pair.i,
@@ -317,7 +310,7 @@ def necessity_probe(
                 with_aux_norm=v_norm,
                 lower_bound=lower,
                 bound_holds=bound_holds,
-                implication_holds=bool(implication),
+                implication_holds=implication,
             )
         )
     return ProbeReport(

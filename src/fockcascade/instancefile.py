@@ -175,7 +175,10 @@ def parse_instance(
     if "networks" in data:
         _require(isinstance(data["networks"], Mapping), "'networks' must be an object")
         for name, raw in data["networks"].items():
-            networks[str(name)] = network_from_dict(raw, registry, unitarity_tol)
+            try:
+                networks[str(name)] = network_from_dict(raw, registry, unitarity_tol)
+            except SchemaError as exc:
+                raise SchemaError(f"networks[{name}]: {exc}") from None
 
     strategy = None
     if "strategy" in data:
@@ -208,4 +211,6 @@ def load_instance(
         raise SchemaError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError(f"{path} nests too deeply to decode") from None
     return parse_instance(data, photon_cap=photon_cap, unitarity_tol=unitarity_tol)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
-from .errors import StrategyError, ZeroStateError
+from .errors import SchemaError, StrategyError, ZeroStateError
 from .modes import ModeRegistry
 from .network import CONSTRUCTION_TOL, LinearNetwork, network_from_dict, substitute
 from .poly import CreationPolynomial, Exponents, factorial, sig12, vacuum_norm_sq
@@ -293,6 +293,14 @@ def strategy_from_dict(
 ) -> CascadeStage:
     """Recursive strategy JSON: {"network": ... | null, "measure": ...,
     "branches": {"<N>": <stage or leaf label>}}."""
+    return _stage_from_dict(data, registry, tol, "strategy")
+
+
+def _stage_from_dict(
+    data: Mapping, registry: ModeRegistry, tol: float, where: str
+) -> CascadeStage:
+    """One stage of :func:`strategy_from_dict`; ``where`` is its branch path
+    from the root, which names the stage in network schema errors."""
     if not isinstance(data, Mapping):
         raise StrategyError(f"strategy stage must be an object, got {data!r}")
     allowed = {"network", "measure", "branches"}
@@ -307,7 +315,10 @@ def strategy_from_dict(
         )
     net = None
     if data.get("network") is not None:
-        net = network_from_dict(data["network"], registry, tol)
+        try:
+            net = network_from_dict(data["network"], registry, tol)
+        except SchemaError as exc:
+            raise SchemaError(f"{where}: {exc}") from None
     branches: dict[int, Branch] = {}
     reduced = registry.without(measure)
     raw_branches = data.get("branches", {})
@@ -321,7 +332,7 @@ def strategy_from_dict(
         if isinstance(value, str):
             branches[n] = value
         elif isinstance(value, Mapping):
-            branches[n] = strategy_from_dict(value, reduced, tol)
+            branches[n] = _stage_from_dict(value, reduced, tol, f"{where}.branches[{key}]")
         else:
             raise StrategyError(f"branch {key!r} must be a label or a stage object")
     return CascadeStage(measure=measure, network=net, branches=branches)

@@ -230,7 +230,7 @@ def _element_spec(element) -> tuple[str, Mapping]:
         ((kind, spec),) = element.items()
         if kind in ("bs", "ps") and isinstance(spec, Mapping):
             return kind, spec
-    raise ValueError(f"unknown network element {element!r}: expected {{\"bs\": {{...}}}} or {{\"ps\": {{...}}}}")
+    raise SchemaError(f"unknown network element {element!r}: expected {{\"bs\": {{...}}}} or {{\"ps\": {{...}}}}")
 
 
 def _element_angle(spec: Mapping, key: str, default: float | None = None) -> float:

@@ -21,7 +21,7 @@ complete distinguishability.
 
 Two independent computational routes are implemented.  ``V`` comes from raw
 conditioning of the product state; ``M' U'`` comes from coefficient tables
-built by the reordering recursions below.  ``verify_no_go`` runs both and
+built by the reordering recursion below.  ``verify_no_go`` runs both and
 reports the residual, the triangular structure, and the determinant identity.
 It substitutes each state once and forms each product state as
 ``sub(aux) * sub(psi)``, which equals ``sub(aux * psi)`` because substitution
@@ -41,15 +41,17 @@ coefficients A[s, p, n, m] (real, symmetric in n, m) with
 
     C[s, n, m] = sum_p A[s, p, n, m] * U'[p],
 
-row sums B[s, p] of which fill the strict lower triangle of the transfer
-matrix while every diagonal entry is D.
+and, since V[s] = sum_{n,m} C[s, n, m], the transfer matrix is
+
+    M'[s, p] = sum_{n,m} A[s, p, n, m].
+
+One table of A serves both the transfer matrix and the recursive component.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -210,39 +212,22 @@ def overlap_component_recursive(
     n: int,
     m: int,
 ) -> complex:
-    """Component C[s, n, m] evaluated through the reordering recursion.
+    """Component C[s, n, m] read from the reordering table as
+    ``sum_p A[s, p, n, m] * U'[p]``.
 
     Valid on the domain n >= m; use the n <-> m symmetry to reach the other
-    half.  Agreement with :func:`overlap_component` is a correctness check on
-    the whole table machinery.
+    half.  The table is the one :func:`aux_transfer_tables` builds, so
+    agreement with :func:`overlap_component` is a correctness check on the
+    tables the transfer matrix is summed from.
     """
     if n < m:
         raise ValueError("recursion domain is n >= m; swap indices by symmetry")
-    n_a = aux_exp.order
-    n_s = system_order
-    _check_component_indices(s, n, m, n_a, n_s)
-    memo: dict[tuple[int, int, int], complex] = {}
-
-    def rec(s_: int, n_: int, m_: int) -> complex:
-        if n_ < m_:
-            n_, m_ = m_, n_
-        key = (s_, n_, m_)
-        if key in memo:
-            return memo[key]
-        value = 0.0 + 0.0j
-        if n_ == m_:
-            value += vacuum_inner_product(
-                exp_i.coefficient(n_s - n_), exp_j.coefficient(n_s - n_)
-            ) * vacuum_inner_product(
-                aux_exp.coefficient(n_a - s_ + n_), aux_exp.coefficient(n_a - s_ + n_)
-            )
-        for k in range(1, min(n_, s_ - m_) + 1):
-            weight = _ordering_weight(k, n_a - s_ + m_ + k, n_s - n_ + k)
-            value -= weight * rec(s_ - k, n_ - k, m_)
-        memo[key] = value
-        return value
-
-    return rec(s, n, m)
+    _check_component_indices(s, n, m, aux_exp.order, system_order)
+    tables = _reordering_table(aux_exp, system_order, s)
+    u_prime = _top_overlaps(exp_i, exp_j, system_order, m + 1)
+    return complex(
+        sum(tables.coeff[(s, p, n, m)] * u_prime[p] for p in range(max(0, n + m - s), m + 1))
+    )
 
 
 # -- auxiliary-only tables and the transfer matrix ----------------------------
@@ -254,16 +239,14 @@ class OverlapTransfer:
 
     ``aux_norms[r]`` is ``||Qa(r)|0>||^2`` for r = 0..n_a;
     ``leading_aux_norm`` (the diagonal value D) is its last entry.
-    ``coeff[(s, p, n, m)]`` are the expansion coefficients A (stored for
-    n >= m and mirrored on access); ``stage_sums[(s, p)]`` their strict
-    lower-triangle row sums B.
+    ``coeff[(s, p, n, m)]`` are the expansion coefficients A, stored for
+    n >= m and mirrored on access.
     """
 
     aux_order: int
     system_order: int
     aux_norms: tuple[float, ...]
     coeff: dict[tuple[int, int, int, int], float]
-    stage_sums: dict[tuple[int, int], float]
 
     @property
     def leading_aux_norm(self) -> float:
@@ -275,8 +258,10 @@ class OverlapTransfer:
         return self.coeff.get((s, p, n, m), 0.0)
 
 
-def aux_transfer_tables(aux_exp: ModeExpansion, system_order: int) -> OverlapTransfer:
-    """Build the A and B tables from the auxiliary expansion alone.
+def _reordering_table(
+    aux_exp: ModeExpansion, system_order: int, last_stage: int
+) -> OverlapTransfer:
+    """Fill A[s, p, n, m] for s = 0..last_stage and n = max(0, s-n_a)..min(s, n_s).
 
     The diagonal seed is A[s, n, n, n] = ||Qa(n_a - s + n)|0>||^2; all other
     entries follow from the reordering recursion
@@ -297,54 +282,35 @@ def aux_transfer_tables(aux_exp: ModeExpansion, system_order: int) -> OverlapTra
     if aux_norms[-1] <= 0:
         raise ValueError("leading auxiliary coefficient has zero norm")
 
-    coeff: dict[tuple[int, int, int, int], float] = {}
-
-    def lookup(s: int, p: int, n: int, m: int) -> float:
-        if n < m:
-            n, m = m, n
-        return coeff.get((s, p, n, m), 0.0)
-
-    for s in range(n_s + 1):
+    tables = OverlapTransfer(aux_order=n_a, system_order=n_s, aux_norms=aux_norms, coeff={})
+    for s in range(last_stage + 1):
         lo = max(0, s - n_a)
-        for n in range(lo, s + 1):
+        for n in range(lo, min(s, n_s) + 1):
             for m in range(lo, n + 1):
                 for p in range(max(0, n + m - s), m + 1):
                     value = aux_norms[n_a - s + n] if p == n == m else 0.0
                     for k in range(1, min(n - p, s - m) + 1):
                         weight = _ordering_weight(k, n_a - s + m + k, n_s - n + k)
-                        value -= weight * lookup(s - k, p, n - k, m)
-                    coeff[(s, p, n, m)] = value
+                        value -= weight * tables.coefficient(s - k, p, n - k, m)
+                    tables.coeff[(s, p, n, m)] = value
+    return tables
 
-    stage_sums: dict[tuple[int, int], float] = {}
-    for s in range(n_s + 1):
-        lo = max(0, s - n_a)
-        for p in range(max(0, s - 2 * n_a), s):
-            total = 0.0
-            for n in range(lo, s + 1):
-                for m in range(lo, s + 1):
-                    if min(n, m) < s:
-                        total += lookup(s, p, n, m)
-            stage_sums[(s, p)] = total
 
-    return OverlapTransfer(
-        aux_order=n_a,
-        system_order=n_s,
-        aux_norms=aux_norms,
-        coeff=coeff,
-        stage_sums=stage_sums,
-    )
+def aux_transfer_tables(aux_exp: ModeExpansion, system_order: int) -> OverlapTransfer:
+    """The A table of the auxiliary expansion over the verification window
+    s = 0..n_s."""
+    return _reordering_table(aux_exp, system_order, system_order)
 
 
 def transfer_matrix(tables: OverlapTransfer) -> np.ndarray:
     """Lower-triangular matrix sending the coefficient overlaps to the
-    conditional ones: D on the diagonal, stage sums below it."""
+    conditional ones: M'[s, p] = sum_{n,m} A[s, p, n, m], where an entry
+    stored for n > m also stands for its mirror.  The diagonal is the seed
+    A[s, s, s, s] = D, the only entry at p = s."""
     n_s = tables.system_order
     out = np.zeros((n_s + 1, n_s + 1))
-    d = tables.leading_aux_norm
-    for s in range(n_s + 1):
-        out[s, s] = d
-        for p in range(max(0, s - 2 * tables.aux_order), s):
-            out[s, p] = tables.stage_sums.get((s, p), 0.0)
+    for (s, p, n, m), value in tables.coeff.items():
+        out[s, p] += value if n == m else 2.0 * value
     return out
 
 
@@ -395,33 +361,6 @@ def transformed_expansions(
         totals=tuple(expand_by_mode(aux_out * p, measured) for p in state_outs),
         system_order=max(e.order for e in state_exps),
     )
-
-
-def exact_determinant(matrix: np.ndarray) -> float:
-    """Determinant of a real matrix, exact over its stored float entries.
-
-    Gaussian elimination runs in rationals, so the only rounding is the final
-    conversion to float.  ``np.linalg.det`` pivots by magnitude and loses
-    about 1e-7 relative on a transfer matrix whose tiny diagonal sits under
-    large entries.
-    """
-    rows = [[Fraction(float(x)) for x in row] for row in matrix]
-    size = len(rows)
-    det = Fraction(1)
-    for k in range(size):
-        pivot = next((r for r in range(k, size) if rows[r][k] != 0), None)
-        if pivot is None:
-            return 0.0
-        if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            det = -det
-        det *= rows[k][k]
-        for r in range(k + 1, size):
-            factor = rows[r][k] / rows[k][k]
-            if factor:
-                for c in range(k + 1, size):
-                    rows[r][c] -= factor * rows[k][c]
-    return float(det)
 
 
 @dataclass(frozen=True)
@@ -514,8 +453,9 @@ def verify_no_go(
         max|V - M'U'| <= RESIDUAL_TOL * max(1, max|V|),
 
     the transfer matrix is lower-triangular with constant diagonal D (within
-    DIAG_TOL relative), its determinant matches D^(n_s+1) within DET_TOL
-    relative, and the zero-vector conditions agree pairwise.
+    DIAG_TOL relative), its determinant (the product of the diagonal, which
+    ``triangular_ok`` licenses) matches D^(n_s+1) within DET_TOL relative,
+    and the zero-vector conditions agree pairwise.
     """
     _check_states(states)
     _check_aux(aux, states)
@@ -527,7 +467,7 @@ def verify_no_go(
     m_prime = transfer_matrix(tables)
     d = tables.leading_aux_norm
 
-    determinant = exact_determinant(m_prime)
+    determinant = float(np.prod(np.diag(m_prime)))
     determinant_expected = d ** (n_s + 1)
     determinant_ok = (
         abs(determinant - determinant_expected) <= DET_TOL * determinant_expected

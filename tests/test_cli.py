@@ -244,6 +244,12 @@ class TestVerifyNogo:
     def test_size_cap_exits_4(self):
         assert main(["verify-nogo", "--count", "2", "--max-photons", "9"]) == 4
 
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["verify-nogo", "--count", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and err.count("\n") == 1, err
+
 
 class TestOracleCheck:
     def test_small_batch_passes(self, tmp_path, capsys):
@@ -376,6 +382,53 @@ class TestMalformedInputs:
         assert main(command + [path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        assert main(["simulate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "command, payload, name",
+        [
+            (
+                ["simulate", "--network", "a"],
+                _with(
+                    pair_instance(IDENTITY_JSON),
+                    networks={"a": IDENTITY_JSON, "b": {"elements": [], "surprise": 1}},
+                ),
+                "networks[b]",
+            ),
+            (
+                ["check"],
+                {
+                    "modes": ["m1", "m2", "m3"],
+                    "states": [_photon_terms((1, 0, 0)), _photon_terms((0, 1, 0))],
+                    "strategy": {
+                        "measure": "m3",
+                        "branches": {
+                            "0": {
+                                "network": {"elements": [], "surprise": 1},
+                                "measure": "m1",
+                                "branches": {"0": "x", "1": "y"},
+                            },
+                        },
+                    },
+                },
+                "strategy.branches[0]",
+            ),
+        ],
+        ids=["named-network", "stage-network"],
+    )
+    def test_network_schema_error_names_the_network(
+        self, tmp_path, capsys, command, payload, name
+    ):
+        path = write(tmp_path, "inst.json", payload)
+        assert main(command + [path]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "unknown fields" in err, err
 
     def test_declared_roles_that_cover_the_states_are_accepted(self, tmp_path):
         payload = _with(

@@ -28,7 +28,6 @@ from fockcascade import (
     verify_no_go,
 )
 from fockcascade import nogo
-from fockcascade.nogo import exact_determinant
 from fockcascade.sampling import random_aux_state, random_homogeneous_state
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -355,6 +354,27 @@ class TestTables:
                         assert abs(solution[k].imag) < 1e-8
                         assert abs(solution[k].real - want) <= 1e-6 * max(1.0, abs(want))
 
+    def test_recursion_and_verification_read_one_table(self, monkeypatch):
+        # One perturbed A entry moves both the recursive component and the
+        # transfer matrix: the recursion that criterion 3 checks against
+        # direct evaluation is the table that verify_no_go sums.
+        _, psi, aux, net = worked_example()
+        aux_exp = expand_by_mode(substitute(aux, net), "s0")
+        (exp_i, exp_j), n_s = system_expansions([psi, psi], net, "s0")
+        assert verify_no_go(aux, [psi, psi], net, "s0").passed
+        build = nogo._reordering_table
+
+        def perturbed(*args):
+            tables = build(*args)
+            tables.coeff[(1, 0, 1, 0)] += 0.5
+            return tables
+
+        monkeypatch.setattr(nogo, "_reordering_table", perturbed)
+        direct = overlap_component(aux_exp, exp_i, exp_j, n_s, 1, 1, 0)
+        rec = overlap_component_recursive(aux_exp, exp_i, exp_j, n_s, 1, 1, 0)
+        assert abs(direct - rec) > 1e-9
+        assert not verify_no_go(aux, [psi, psi], net, "s0").passed
+
 
 class TestReorderingLemma:
     def test_operator_identity_under_contraction(self):
@@ -552,13 +572,3 @@ class TestDeterminant:
         assert report.determinant_ok
         assert report.passed
         assert result.max_det_deviation <= 1e-12
-
-    def test_exact_determinant_general_matrices(self):
-        rng = np.random.default_rng(62)
-        for size in range(1, 6):
-            m = rng.standard_normal((size, size))
-            want = np.linalg.det(m)
-            assert abs(exact_determinant(m) - want) <= 1e-10 * max(1.0, abs(want))
-        # a zero leading entry needs a row swap, which flips the sign
-        assert exact_determinant(np.array([[0.0, 2.0], [3.0, 1.0]])) == -6.0
-        assert exact_determinant(np.array([[1.0, 2.0], [2.0, 4.0]])) == 0.0
