@@ -10,14 +10,18 @@ Subcommands:
 
 Reports are JSON (stdout or --out); summaries go to stderr.  Exit codes:
 0 success, 1 failed verification suite, 2 schema error, 3 numeric validation
-error (non-unitary network), 4 size or photon-cap violation.
+error (non-unitary network), 4 size or photon-cap violation, 5 internal error
+(any other exception: a defect, reported with its type and where it was
+raised).  Every error ends on one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import traceback
 
 from .discriminate import DiscriminationInstance, cascade_discrimination, stage_orthogonality
 from .errors import (
@@ -40,6 +44,7 @@ EXIT_SUITE_FAILED = 1
 EXIT_SCHEMA = 2
 EXIT_NUMERIC = 3
 EXIT_CAPS = 4
+EXIT_INTERNAL = 5
 
 
 def _emit(report: dict, out_path: str | None) -> None:
@@ -222,7 +227,11 @@ def main(argv: list[str] | None = None) -> int:
         code, error = EXIT_NUMERIC, exc
     except (FockCascadeError, ValueError) as exc:
         code, error = EXIT_SCHEMA, exc
-    print(f"error: {error}", file=sys.stderr)
+    except Exception as exc:  # last resort: one line, never a traceback or exit 1
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
+        code, error = EXIT_INTERNAL, f"internal error ({type(exc).__name__} at {where}): {exc}"
+    print("error: " + " ".join(str(error).split()), file=sys.stderr)
     return code
 
 

@@ -18,7 +18,7 @@ provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -117,12 +117,16 @@ def stage_orthogonality(
     distinguished at an outcome when the scaled inner-product test passes or
     when at least one conditional weight is vacuously small; both conditions
     are reported separately.  The conditional state of input k at outcome N
-    is coefficient N of its product-state expansion.
+    is coefficient N of ``sub(aux) * sub(psi_k)``, summed from the two
+    expansions without forming the product.
     """
     expansions = transformed_expansions(instance.aux, instance.states, net, measured)
-    totals = expansions.totals
     max_outcome = expansions.aux.order + expansions.system_order
-    weights = [t.weights() + [0.0] * (max_outcome - t.order) for t in totals]
+    totals = [
+        replace(expansions.aux, coefficients=coefficients)
+        for coefficients in expansions.products(0, max_outcome)
+    ]
+    weights = [t.weights() for t in totals]
 
     records = []
     for i in range(len(totals)):

@@ -136,19 +136,18 @@ def apply_network_dense(vec: np.ndarray, mode_unitary: np.ndarray, basis: FockBa
 
 
 def project_outcome_dense(
-    vec: np.ndarray, mode_position: int, outcome: int, basis: FockBasis
+    vec: np.ndarray, mode_position: int, outcome: int, basis: FockBasis, reduced: FockBasis
 ) -> tuple[np.ndarray, float]:
     """Select the component with ``outcome`` photons on one mode.
 
-    Returns the reduced vector over ``FockBasis(mode_count - 1, photon_cap)``
-    (the measured coordinate dropped) together with the outcome probability
-    ||selection||^2 / ||vec||^2.
+    Returns the vector over ``reduced``, which must be
+    ``FockBasis(mode_count - 1, photon_cap)`` (the measured coordinate
+    dropped), together with the outcome probability ||selection||^2 / ||vec||^2.
     """
-    if basis.mode_count < 2:
-        raise ValueError("cannot reduce a single-mode basis")
+    if (reduced.mode_count, reduced.photon_cap) != (basis.mode_count - 1, basis.photon_cap):
+        raise ValueError("reduced basis does not drop one mode of the basis")
     if outcome < 0 or outcome > basis.photon_cap:
         raise ValueError(f"outcome {outcome} outside basis cap {basis.photon_cap}")
-    reduced = FockBasis(basis.mode_count - 1, basis.photon_cap)
     out = np.zeros(reduced.dimension, dtype=complex)
     selected = 0.0
     for k, occ in enumerate(basis.states):

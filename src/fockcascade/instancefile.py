@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import SchemaError
+from .errors import SchemaError, UnitarityViolation
 from .measurement import CascadeStage, strategy_from_dict
 from .modes import DEFAULT_PHOTON_CAP, ModeRegistry
 from .network import CONSTRUCTION_TOL, LinearNetwork, network_from_dict
@@ -177,8 +177,9 @@ def parse_instance(
         for name, raw in data["networks"].items():
             try:
                 networks[str(name)] = network_from_dict(raw, registry, unitarity_tol)
-            except SchemaError as exc:
-                raise SchemaError(f"networks[{name}]: {exc}") from None
+            except (SchemaError, UnitarityViolation) as exc:
+                exc.args = (f"networks[{name}]: {exc}",)
+                raise
 
     strategy = None
     if "strategy" in data:

@@ -23,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
-from .errors import SchemaError, StrategyError, ZeroStateError
+from .errors import PhotonCapError, SchemaError, StrategyError, UnitarityViolation, ZeroStateError
 from .modes import ModeRegistry
 from .network import CONSTRUCTION_TOL, LinearNetwork, network_from_dict, substitute
-from .poly import CreationPolynomial, Exponents, factorial, sig12, vacuum_norm_sq
+from .poly import CreationPolynomial, Exponents, _mul_into, factorial, sig12, vacuum_norm_sq
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,43 @@ def expand_by_mode(p: CreationPolynomial, measured: str) -> ModeExpansion:
         reduced_registry=reduced,
         coefficients=tuple(CreationPolynomial._trusted(reduced, b) for b in buckets),
     )
+
+
+def product_coefficients(
+    left: ModeExpansion, right: ModeExpansion, lo: int, hi: int
+) -> tuple[CreationPolynomial, ...]:
+    """Coefficients N = lo..hi of the product of two expanded polynomials.
+
+    Coefficient N of ``p * q`` is the Cauchy sum ``sum_a p_a * q_(N-a)``, so
+    the product itself is never formed: each N is summed into one dict and
+    pruned once, relative to its own peak.  ``PhotonCapError`` is raised
+    exactly when ``p * q`` would raise it, which is when the highest powers
+    of some mode in ``p`` and in ``q`` add up past the cap; the measured mode
+    counts too, although the reduced registry of the result cannot hold it.
+    """
+    if left.measured != right.measured:
+        raise ValueError(f"expansions measure {left.measured!r} and {right.measured!r}")
+    left.source_registry.require_same(right.source_registry)
+    cap = left.source_registry.photon_cap
+    for a, b in zip(_peak_powers(left), _peak_powers(right)):
+        if a + b > cap:
+            raise PhotonCapError(f"occupation {a + b} exceeds photon cap {cap}")
+    out = []
+    for n in range(lo, hi + 1):
+        terms: dict[Exponents, complex] = {}
+        for a in range(max(0, n - right.order), min(n, left.order) + 1):
+            _mul_into(terms, left.coefficients[a], right.coefficients[n - a])
+        out.append(CreationPolynomial._trusted(left.reduced_registry, terms))
+    return tuple(out)
+
+
+def _peak_powers(expansion: ModeExpansion) -> list[int]:
+    """Highest power of each mode over the expanded polynomial's terms, the
+    measured mode first; empty for the zero polynomial."""
+    keys = [
+        (n,) + exps for n, part in enumerate(expansion.coefficients) for exps, _ in part.items()
+    ]
+    return [max(column) for column in zip(*keys)]
 
 
 @dataclass(frozen=True)
@@ -300,39 +337,40 @@ def _stage_from_dict(
     data: Mapping, registry: ModeRegistry, tol: float, where: str
 ) -> CascadeStage:
     """One stage of :func:`strategy_from_dict`; ``where`` is its branch path
-    from the root, which names the stage in network schema errors."""
+    from the root, which every error raised for this stage starts with."""
     if not isinstance(data, Mapping):
-        raise StrategyError(f"strategy stage must be an object, got {data!r}")
+        raise StrategyError(f"{where}: strategy stage must be an object, got {data!r}")
     allowed = {"network", "measure", "branches"}
     unknown = set(data) - allowed
     if unknown:
-        raise StrategyError(f"unknown strategy fields {sorted(unknown)}")
+        raise StrategyError(f"{where}: unknown strategy fields {sorted(unknown)}")
     measure = data.get("measure")
     if not isinstance(measure, str) or measure not in registry:
         raise StrategyError(
-            f"strategy measures {measure!r}, which is not one of the modes "
+            f"{where}: strategy measures {measure!r}, which is not one of the modes "
             f"{registry.labels} still available"
         )
     net = None
     if data.get("network") is not None:
         try:
             net = network_from_dict(data["network"], registry, tol)
-        except SchemaError as exc:
-            raise SchemaError(f"{where}: {exc}") from None
+        except (SchemaError, UnitarityViolation) as exc:
+            exc.args = (f"{where}: {exc}",)
+            raise
     branches: dict[int, Branch] = {}
     reduced = registry.without(measure)
     raw_branches = data.get("branches", {})
     if not isinstance(raw_branches, Mapping):
-        raise StrategyError(f"strategy branches must be an object, got {raw_branches!r}")
+        raise StrategyError(f"{where}: strategy branches must be an object, got {raw_branches!r}")
     for key, value in raw_branches.items():
         try:
             n = int(key)
         except (TypeError, ValueError):
-            raise StrategyError(f"branch key {key!r} is not a photon count") from None
+            raise StrategyError(f"{where}: branch key {key!r} is not a photon count") from None
         if isinstance(value, str):
             branches[n] = value
         elif isinstance(value, Mapping):
             branches[n] = _stage_from_dict(value, reduced, tol, f"{where}.branches[{key}]")
         else:
-            raise StrategyError(f"branch {key!r} must be a label or a stage object")
+            raise StrategyError(f"{where}: branch {key!r} must be a label or a stage object")
     return CascadeStage(measure=measure, network=net, branches=branches)

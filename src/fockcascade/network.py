@@ -29,9 +29,14 @@ _NETWORK_FIELDS = {"matrix", "elements"}
 
 
 class LinearNetwork:
-    """Unitary mode map over a registry; validated at construction."""
+    """Unitary mode map over a registry; validated at construction.
 
-    __slots__ = ("matrix", "registry")
+    ``images[i]`` is the linear image of input mode i as the
+    ``(j, U[j, i])`` pairs with a nonzero entry, built once for
+    :func:`substitute`.
+    """
+
+    __slots__ = ("matrix", "registry", "images")
 
     def __init__(self, matrix, registry: ModeRegistry, tol: float = CONSTRUCTION_TOL):
         m = np.asarray(matrix, dtype=complex)
@@ -47,6 +52,10 @@ class LinearNetwork:
         m.setflags(write=False)
         self.matrix = m
         self.registry = registry
+        self.images = tuple(
+            tuple((j, complex(m[j, i])) for j in range(n) if m[j, i] != 0)
+            for i in range(n)
+        )
 
     def __repr__(self) -> str:
         return f"LinearNetwork({self.registry.size} modes)"
@@ -125,50 +134,57 @@ def random_network(registry: ModeRegistry, rng: np.random.Generator) -> LinearNe
 def substitute(state: CreationPolynomial, net: LinearNetwork) -> CreationPolynomial:
     """Rewrite a state polynomial in terms of the network's output operators.
 
-    Every input operator a^dag_i is replaced by sum_j U[j,i] c^dag_j and the
-    result re-expanded.  Total degree is preserved term by term; the vacuum
-    norm is preserved up to roundoff because U is unitary.
+    Every input operator a^dag_i is replaced by its image
+    sum_j U[j,i] c^dag_j and the result re-expanded.  The state is evaluated
+    in nested (Horner) form, one input mode at a time, so every multiply is by
+    one image and shifts a single exponent per output term; the sums stay
+    plain dicts and are pruned once, relative to the result's peak.  Total
+    degree is preserved term by term; the vacuum norm is preserved up to
+    roundoff because U is unitary.  A state of degree above the photon cap
+    goes through the validating constructor, which raises PhotonCapError
+    when some output occupation exceeds the cap.
     """
     state.registry.require_same(net.registry)
     registry = state.registry
     if state.is_zero():
         return state
-
-    # Linear image of each input mode.
     size = registry.size
-    images: list[CreationPolynomial] = []
-    for i in range(size):
-        col = {
-            _unit(size, j): net.matrix[j, i]
-            for j in range(size)
-            if net.matrix[j, i] != 0
-        }
-        images.append(CreationPolynomial(registry, col))
+    images = net.images
 
-    def nested(terms: list[tuple[Exponents, complex]], k: int) -> CreationPolynomial:
+    def nested(terms: list[tuple[Exponents, complex]], k: int) -> dict[Exponents, complex]:
         """Image of ``terms`` over modes k.. in Horner form in mode k:
-        out = out * image_k + (terms with a_k^n), from the top power n down,
-        so every multiply is by a linear form."""
+        out = out * image_k + (terms with a_k^n), from the top power n down."""
         if k == size:
-            return CreationPolynomial._trusted(registry, {(0,) * size: terms[0][1]})
+            return {(0,) * size: terms[0][1]}
         by_power: dict[int, list[tuple[Exponents, complex]]] = {}
         for exps, coeff in terms:
             by_power.setdefault(exps[k], []).append((exps, coeff))
         top = max(by_power)
         out = nested(by_power[top], k + 1)
         for n in range(top - 1, -1, -1):
-            out = out * images[k]
+            out = _times_image(out, images[k])
             if n in by_power:
-                out = out + nested(by_power[n], k + 1)
+                for exps, coeff in nested(by_power[n], k + 1).items():
+                    out[exps] = out.get(exps, 0.0) + coeff
         return out
 
-    return nested(list(state.items()), 0)
+    terms = nested(list(state.items()), 0)
+    if state.degree <= registry.photon_cap:
+        return CreationPolynomial._trusted(registry, terms)
+    return CreationPolynomial(registry, terms)
 
 
-def _unit(size: int, j: int) -> Exponents:
-    exps = [0] * size
-    exps[j] = 1
-    return tuple(exps)
+def _times_image(
+    terms: dict[Exponents, complex], image: tuple[tuple[int, complex], ...]
+) -> dict[Exponents, complex]:
+    """``terms`` times the linear form sum_j u_j c^dag_j: each pair raises
+    one exponent of one term by one."""
+    out: dict[Exponents, complex] = {}
+    for exps, coeff in terms.items():
+        for j, u in image:
+            key = exps[:j] + (exps[j] + 1,) + exps[j + 1 :]
+            out[key] = out.get(key, 0.0) + coeff * u
+    return out
 
 
 def network_from_dict(data: Mapping, registry: ModeRegistry, tol: float = CONSTRUCTION_TOL) -> LinearNetwork:

@@ -23,9 +23,11 @@ Two independent computational routes are implemented.  ``V`` comes from raw
 conditioning of the product state; ``M' U'`` comes from coefficient tables
 built by the reordering recursion below.  ``verify_no_go`` runs both and
 reports the residual, the triangular structure, and the determinant identity.
-It substitutes each state once and forms each product state as
-``sub(aux) * sub(psi)``, which equals ``sub(aux * psi)`` because substitution
-is a ring homomorphism.
+It substitutes each state once; since substitution is a ring homomorphism,
+the product state ``sub(aux * psi)`` is ``sub(aux) * sub(psi)``, and V reads
+only its coefficients N = n_a .. n_a + n_s.  Each is the Cauchy sum
+``sum_a Qa(a) Qs(N - a)`` of the two expansions, so the product itself is
+never formed.
 
 Component conventions used throughout (all indices nonnegative):
 
@@ -56,7 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .measurement import ModeExpansion, condition, expand_by_mode
+from .measurement import ModeExpansion, condition, expand_by_mode, product_coefficients
 from .network import LinearNetwork, substitute
 from .poly import (
     CreationPolynomial,
@@ -322,21 +324,17 @@ class TransformedExpansions:
     """Every expansion the pair checks read, each computed once.
 
     ``aux`` and ``states`` expand the substituted auxiliary and system
-    states; ``totals[k]`` expands the product state ``sub(aux) * sub(psi_k)``.
-    ``system_order`` is the set-level top power n_s.
+    states; ``system_order`` is the set-level top power n_s.
     """
 
     aux: ModeExpansion
     states: tuple[ModeExpansion, ...]
-    totals: tuple[ModeExpansion, ...]
     system_order: int
 
-    def with_aux_overlaps(self, i: int, j: int) -> np.ndarray:
-        """V for the pair (i, j).  Conditioning a product state on N photons
-        keeps its expansion coefficient N, so entry s is the overlap of the
-        coefficients at N = n_a + n_s - s."""
-        n_s = self.system_order
-        return _top_overlaps(self.totals[i], self.totals[j], self.aux.order + n_s, n_s + 1)
+    def products(self, lo: int, hi: int) -> list[tuple[CreationPolynomial, ...]]:
+        """Per state k, coefficients N = lo..hi of the product state
+        ``sub(aux) * sub(psi_k)``: the with-aux conditional states."""
+        return [product_coefficients(self.aux, e, lo, hi) for e in self.states]
 
     def coefficient_overlaps(self, i: int, j: int) -> np.ndarray:
         """U' for the pair (i, j)."""
@@ -350,15 +348,12 @@ def transformed_expansions(
     net: LinearNetwork,
     measured: str,
 ) -> TransformedExpansions:
-    """Substitute the auxiliary and each system state once and expand the
-    bare states and the product states in powers of the measured mode."""
-    aux_out = substitute(aux, net)
-    state_outs = [substitute(psi, net) for psi in states]
-    state_exps = tuple(expand_by_mode(p, measured) for p in state_outs)
+    """Substitute the auxiliary and each system state once and expand each in
+    powers of the measured mode."""
+    state_exps = tuple(expand_by_mode(substitute(psi, net), measured) for psi in states)
     return TransformedExpansions(
-        aux=expand_by_mode(aux_out, measured),
+        aux=expand_by_mode(substitute(aux, net), measured),
         states=state_exps,
-        totals=tuple(expand_by_mode(aux_out * p, measured) for p in state_outs),
         system_order=max(e.order for e in state_exps),
     )
 
@@ -482,10 +477,15 @@ def verify_no_go(
         for exp in expansions.states
     ]
 
+    # Conditioning a product state on N photons keeps its coefficient N, so
+    # V[s] overlaps the window coefficients at N = n_a + n_s - s.
+    windows = [w[::-1] for w in expansions.products(n_a, n_a + n_s)]
     pairs = []
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
-            v_vec = expansions.with_aux_overlaps(i, j)
+            v_vec = np.array(
+                [vacuum_inner_product(a, b) for a, b in zip(windows[i], windows[j])]
+            )
             u_prime = expansions.coefficient_overlaps(i, j)
             predicted = m_prime @ u_prime
             residual = float(np.abs(v_vec - predicted).max())

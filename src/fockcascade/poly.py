@@ -224,10 +224,7 @@ class CreationPolynomial:
         if isinstance(other, CreationPolynomial):
             self.registry.require_same(other.registry)
             out: dict[Exponents, complex] = {}
-            for ea, ca in self._terms.items():
-                for eb, cb in other._terms.items():
-                    key = tuple(map(operator.add, ea, eb))
-                    out[key] = out.get(key, 0.0) + ca * cb
+            _mul_into(out, self, other)
             if self.degree + other.degree <= self.registry.photon_cap:
                 return CreationPolynomial._trusted(self.registry, out)
             # Some mode of the product may exceed the cap: validate.
@@ -307,6 +304,16 @@ class CreationPolynomial:
             parts.append(f"({coeff:.4g})*{body}")
         tail = " + ..." if len(self._terms) > 4 else ""
         return f"CreationPolynomial({' + '.join(parts)}{tail})"
+
+
+def _mul_into(
+    out: dict[Exponents, complex], left: CreationPolynomial, right: CreationPolynomial
+) -> None:
+    """Add every pair product of ``left`` and ``right`` into ``out`` (unpruned)."""
+    for ea, ca in left._terms.items():
+        for eb, cb in right._terms.items():
+            key = tuple(map(operator.add, ea, eb))
+            out[key] = out.get(key, 0.0) + ca * cb
 
 
 def vacuum_inner_product(p: CreationPolynomial, q: CreationPolynomial) -> complex:

@@ -207,7 +207,7 @@ def run_oracle_suite(
         reduced_basis = FockBasis(n_modes - 1, degree)
         for outcome in range(degree + 1):
             dense_vec, dense_weight = project_outcome_dense(
-                via_dense, pos, outcome, basis
+                via_dense, pos, outcome, basis, reduced_basis
             )
             poly_weight = weights.get(outcome, 0.0)
             max_weight = max(max_weight, abs(poly_weight - dense_weight))

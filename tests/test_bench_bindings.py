@@ -42,3 +42,22 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     assert metrics["nogo.verify.calls"] == 1
     assert metrics["fockdense.unitary.calls"] > 0
     assert "discriminate.cascade.self_s" in metrics
+
+
+def test_constant_aux_expands_each_state_once(monkeypatch):
+    # With aux = 1 the product state equals sub(psi); the window reads it from
+    # the expansion of sub(psi) instead of expanding it a second time.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    inst = fc.random_nogo_instance(np.random.default_rng(6), n_states=3)
+    aux = fc.CreationPolynomial.constant(inst.aux.registry, 1.0)
+    bench = tracer.Tracer()
+    bench.install()
+    try:
+        assert fc.verify_no_go(aux, inst.states, inst.network, inst.measured).passed
+    finally:
+        bench.uninstall()
+    metrics = bench.metrics()
+    assert metrics["measurement.expand.calls"] == len(inst.states) + 1
+    assert metrics["measurement.expand.repeat_share"] == 0

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from fockcascade import nogo
+from fockcascade import cli, nogo
 from fockcascade.cli import main
 
 R = 0.7071067811865476  # 1/sqrt(2) at double precision
@@ -430,6 +430,33 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert name in err and "unknown fields" in err, err
 
+    def test_strategy_error_names_the_stage(self, tmp_path, capsys):
+        payload = {
+            "modes": ["m1", "m2"],
+            "states": [_photon_terms((1, 0)), _photon_terms((0, 1))],
+            "strategy": {
+                "measure": "m1",
+                "branches": {"0": {"measure": "m2", "oops": 1}, "1": "first"},
+            },
+        }
+        assert main(["check", write(tmp_path, "inst.json", payload)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: strategy.branches[0]: unknown strategy fields ['oops']\n", err
+
+    def test_non_unitary_named_network_names_itself(self, tmp_path, capsys):
+        payload = _with(
+            pair_instance(IDENTITY_JSON),
+            networks={
+                "a": {"elements": []},
+                "b": {"matrix": [[{"re": 2.0, "im": 0.0}, {"re": 0.0, "im": 0.0}],
+                                 [{"re": 0.0, "im": 0.0}, {"re": 1.0, "im": 0.0}]]},
+            },
+        )
+        path = write(tmp_path, "inst.json", payload)
+        assert main(["simulate", "--network", "a", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: networks[b]: matrix is not unitary") and err.count("\n") == 1, err
+
     def test_declared_roles_that_cover_the_states_are_accepted(self, tmp_path):
         payload = _with(
             pair_instance(IDENTITY_JSON),
@@ -441,3 +468,16 @@ class TestMalformedInputs:
             aux_modes=["b"],
         )
         assert main(["simulate", write(tmp_path, "inst.json", payload)]) == 0
+
+
+class TestLastResort:
+    def test_unexpected_exception_exits_5_with_one_line(self, tmp_path, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setattr(cli, "_cmd_simulate", broken)
+        path = write(tmp_path, "inst.json", pair_instance(IDENTITY_JSON))
+        assert main(["simulate", path]) == cli.EXIT_INTERNAL == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal error (RuntimeError at test_cli.py:")
+        assert err.endswith("): boom second line\n") and err.count("\n") == 1, err

@@ -95,7 +95,8 @@ class TestStageOrthogonality:
 
     @pytest.mark.parametrize("n_states", [2, 3, 4])
     def test_one_substitution_per_state(self, monkeypatch, n_states):
-        # K+1 substitutions and 2K+1 expansions for K states; the records
+        # K+1 substitutions and K+1 expansions for K states (the product
+        # states are summed from the expansions, never expanded); the records
         # still match conditioning sub(aux*psi) once per outcome.
         rng = np.random.default_rng(70 + n_states)
         reg = ModeRegistry(("s0", "s1", "s2", "b0", "b1"))
@@ -120,7 +121,7 @@ class TestStageOrthogonality:
             report = stage_orthogonality(inst, net, "s0")
         assert calls == {
             "substitute": n_states + 1,
-            "expand_by_mode": 2 * n_states + 1,
+            "expand_by_mode": n_states + 1,
             "condition": 0,
         }
         totals = [substitute(aux * psi, net) for psi in states]

@@ -150,7 +150,7 @@ class TestProjection:
     def test_vacuum(self):
         basis = FockBasis(2, 2)
         vec = embed(CreationPolynomial.constant(REG2, 1.0), basis)
-        reduced, weight = project_outcome_dense(vec, 0, 0, basis)
+        reduced, weight = project_outcome_dense(vec, 0, 0, basis, FockBasis(1, 2))
         assert weight == 1.0
         assert abs(reduced[0] - 1.0) < 1e-12
 
@@ -158,7 +158,7 @@ class TestProjection:
         basis = FockBasis(2, 2)
         pair = CreationPolynomial.mode(REG2, "c") * CreationPolynomial.mode(REG2, "d")
         out = apply_network_dense(embed(pair, basis), HADAMARD, basis)
-        _, weight = project_outcome_dense(out, 0, 1, basis)
+        _, weight = project_outcome_dense(out, 0, 1, basis, FockBasis(1, 2))
         assert weight < 1e-12
 
     def test_completeness(self):
@@ -166,10 +166,18 @@ class TestProjection:
         basis = FockBasis(3, 3)
         reg = ModeRegistry(("c", "d", "e"))
         vec = embed(random_poly(rng, reg, 3), basis)
+        reduced = FockBasis(2, 3)
         total = sum(
-            project_outcome_dense(vec, 1, n, basis)[1] for n in range(4)
+            project_outcome_dense(vec, 1, n, basis, reduced)[1] for n in range(4)
         )
         assert abs(total - 1.0) < 1e-12
+
+    def test_reduced_basis_must_drop_one_mode(self):
+        basis = FockBasis(3, 3)
+        vec = embed(CreationPolynomial.constant(ModeRegistry(("c", "d", "e")), 1.0), basis)
+        for wrong in (FockBasis(3, 3), FockBasis(2, 2)):
+            with pytest.raises(ValueError, match="does not drop one mode"):
+                project_outcome_dense(vec, 0, 0, basis, wrong)
 
 
 def test_quick_equivalence_suite():

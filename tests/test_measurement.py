@@ -8,6 +8,7 @@ from fockcascade import (
     CreationPolynomial,
     FockBasis,
     ModeRegistry,
+    PhotonCapError,
     StrategyError,
     ZeroStateError,
     condition,
@@ -16,12 +17,14 @@ from fockcascade import (
     from_matrix,
     outcome_distribution,
     project_outcome_dense,
+    random_nogo_instance,
     run_cascade,
     strategy_from_dict,
     substitute,
     validate_strategy,
     vacuum_norm_sq,
 )
+from fockcascade.measurement import product_coefficients
 from helpers import random_poly
 
 REG2 = ModeRegistry(("c", "d"))
@@ -73,6 +76,64 @@ class TestExpansion:
             assert dict(exp.reassemble().items()) == dict(p.items())
 
 
+class TestProductCoefficients:
+    """Coefficients of a product read from the two expansions (Cauchy sum)."""
+
+    def test_window_matches_the_expanded_product(self):
+        rng = np.random.default_rng(23)
+        for k in range(16):
+            inst = random_nogo_instance(
+                rng, max_system_modes=3, max_aux_modes=2, max_photons=3,
+                max_aux_photons=2, force_aux_photons=k % 4 != 0,
+            )
+            aux_out = substitute(inst.aux, inst.network)
+            psi_out = substitute(inst.states[0], inst.network)
+            aux_exp = expand_by_mode(aux_out, inst.measured)
+            psi_exp = expand_by_mode(psi_out, inst.measured)
+            full = expand_by_mode(aux_out * psi_out, inst.measured)
+            peak = max(q.max_abs_coeff() for q in full.coefficients)
+            top = aux_exp.order + psi_exp.order
+            window = product_coefficients(aux_exp, psi_exp, 0, top)
+            assert len(window) == top + 1
+            for n, got in enumerate(window):
+                want = full.coefficient(n)
+                keys = {e for e, _ in got.items()} | {e for e, _ in want.items()}
+                for e in keys:
+                    assert abs(got.coefficient(e) - want.coefficient(e)) <= 1e-12 * peak
+            # A sub-window is the matching slice of the whole range.
+            lo = aux_exp.order
+            assert all(
+                a.isclose(b, tol=0.0)
+                for a, b in zip(product_coefficients(aux_exp, psi_exp, lo, top), window[lo:])
+            )
+
+    @pytest.mark.parametrize(
+        "left, right, raises",
+        [
+            ({"c": 3}, {"c": 2}, True),     # the measured mode passes the cap
+            ({"d": 3}, {"d": 2}, True),     # a kept mode passes the cap
+            ({"d": 3}, {"c": 2}, False),    # degree 5 > 4, but no mode over 4
+            ({"c": 2, "d": 1}, {"c": 2, "d": 1}, False),
+        ],
+    )
+    def test_photon_cap_error_as_the_product_raises_it(self, left, right, raises):
+        reg = ModeRegistry(("c", "d", "e"), photon_cap=4)
+        p = CreationPolynomial.monomial(reg, left) + CreationPolynomial.monomial(reg, {"e": 1})
+        q = CreationPolynomial.monomial(reg, right)
+        exp_p, exp_q = expand_by_mode(p, "c"), expand_by_mode(q, "c")
+
+        def outcome(call):
+            try:
+                call()
+            except PhotonCapError:
+                return True
+            return False
+
+        assert outcome(lambda: p * q) is raises
+        # The window leaves out the offending coefficient; the error stays.
+        assert outcome(lambda: product_coefficients(exp_p, exp_q, 0, 0)) is raises
+
+
 class TestCondition:
     def test_interference_dip(self):
         cond = condition(hom_state(), "c", 1)
@@ -112,7 +173,7 @@ class TestCondition:
             vec = embed(p, basis)
             for outcome in range(4):
                 cond = condition(p, "c", outcome)
-                dense_vec, dense_weight = project_outcome_dense(vec, 0, outcome, basis)
+                dense_vec, dense_weight = project_outcome_dense(vec, 0, outcome, basis, reduced)
                 assert abs(cond.weight - dense_weight) < 1e-9
                 u = embed(cond.state, reduced)
                 nu, nv = np.linalg.norm(u), np.linalg.norm(dense_vec)

@@ -22,6 +22,7 @@ from fockcascade import (
     substitute,
     vacuum_norm_sq,
 )
+from fockcascade import network
 from helpers import random_poly
 
 REG2 = ModeRegistry(("m1", "m2"))
@@ -165,24 +166,41 @@ class TestSubstitute:
 
     def test_every_product_has_a_linear_factor(self, monkeypatch):
         # Nested (Horner) substitution multiplies only by the linear image of
-        # one mode, never a power of an image by another power.
-        degrees = []
-        original = CreationPolynomial.__mul__
+        # one mode, one single-exponent shift per step, and never calls the
+        # generic polynomial multiply.
+        steps = []
+        original = network._times_image
 
-        def recording(self, other):
-            if isinstance(other, CreationPolynomial):
-                degrees.append((self.degree, other.degree))
-            return original(self, other)
+        def recording(terms, image):
+            steps.append(image)
+            return original(terms, image)
 
+        def no_multiply(self, other):
+            raise AssertionError("substitute called CreationPolynomial.__mul__")
+
+        net = beam_splitter(np.pi / 4, 0.0, "m1", "m2", REG2)
         state = CreationPolynomial.monomial(REG2, {"m1": 2, "m2": 2})
-        monkeypatch.setattr(CreationPolynomial, "__mul__", recording)
-        out = substitute(state, beam_splitter(np.pi / 4, 0.0, "m1", "m2", REG2))
+        monkeypatch.setattr(network, "_times_image", recording)
+        monkeypatch.setattr(CreationPolynomial, "__mul__", no_multiply)
+        out = substitute(state, net)
         monkeypatch.undo()
-        assert degrees and all(min(pair) <= 1 for pair in degrees), degrees
+        # a1^2 a2^2: two shifts by the image of m2, then two by that of m1.
+        assert [net.images.index(image) for image in steps] == [1, 1, 0, 0]
+        assert all(len(image) == 2 for image in net.images)
         # (c1 - c2)^2 (c1 + c2)^2 / 4 = (c1^2 - c2^2)^2 / 4
         assert abs(out.coefficient((4, 0)) - 0.25) < 1e-12
         assert abs(out.coefficient((2, 2)) + 0.5) < 1e-12
         assert abs(out.coefficient((3, 1))) < 1e-12
+
+    def test_images_are_the_matrix_columns(self):
+        net = random_network(REG3, np.random.default_rng(17))
+        for i, image in enumerate(net.images):
+            column = np.zeros(3, dtype=complex)
+            for j, u in image:
+                column[j] = u
+            assert np.array_equal(column, net.matrix[:, i])
+        swap = from_matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]], REG3)
+        assert swap.images == (((1, 1 + 0j),), ((0, 1 + 0j),), ((2, 1 + 0j),))
 
     def test_photon_cap_raised_through_a_splitter(self):
         reg = ModeRegistry(("a1", "a2"), photon_cap=20)

@@ -27,7 +27,7 @@ from fockcascade import (
     vacuum_inner_product,
     verify_no_go,
 )
-from fockcascade import nogo
+from fockcascade import measurement, nogo
 from fockcascade.sampling import random_aux_state, random_homogeneous_state
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -552,7 +552,50 @@ class TestWorkCount:
             np.random.default_rng(61), n_states=n_states, force_aux_photons=True
         )
         assert verify_no_go(inst.aux, inst.states, inst.network, inst.measured).passed
-        assert calls == {"substitute": n_states + 1, "expand_by_mode": 2 * n_states + 1}
+        assert calls == {"substitute": n_states + 1, "expand_by_mode": n_states + 1}
+
+
+    @staticmethod
+    def count_window_pairs(monkeypatch):
+        counts = []
+        original = measurement._mul_into
+
+        def counted(out, left, right):
+            counts.append(len(left) * len(right))
+            original(out, left, right)
+
+        monkeypatch.setattr(measurement, "_mul_into", counted)
+        return counts
+
+    def test_window_does_fewer_pair_products_than_the_product(self, monkeypatch):
+        inst = random_nogo_instance(
+            np.random.default_rng(62), max_aux_photons=3, force_aux_photons=True
+        )
+        aux_out = substitute(inst.aux, inst.network)
+        aux_exp = expand_by_mode(aux_out, inst.measured)
+        assert aux_exp.order > 0
+        counts = self.count_window_pairs(monkeypatch)
+        report = verify_no_go(inst.aux, inst.states, inst.network, inst.measured)
+        assert report.passed
+        full = sum(len(aux_out) * len(substitute(psi, inst.network)) for psi in inst.states)
+        assert 0 < sum(counts) < full
+
+    def test_constant_aux_only_scales(self, monkeypatch):
+        # With aux = 1 every window coefficient is one coefficient of
+        # sub(psi) times a constant: one pair per term, no polynomial multiply.
+        inst = random_nogo_instance(np.random.default_rng(63), n_states=3)
+        aux = CreationPolynomial.constant(inst.aux.registry, 2.0)
+        counts = self.count_window_pairs(monkeypatch)
+
+        def no_multiply(self, other):
+            raise AssertionError("polynomial multiply with a constant aux")
+
+        monkeypatch.setattr(CreationPolynomial, "__mul__", no_multiply)
+        report = verify_no_go(aux, inst.states, inst.network, inst.measured)
+        monkeypatch.undo()
+        assert report.passed
+        terms = sum(len(substitute(psi, inst.network)) for psi in inst.states)
+        assert sum(counts) == terms
 
 
 class TestDeterminant:
