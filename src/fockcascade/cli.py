@@ -34,7 +34,7 @@ from .instancefile import load_instance
 from .measurement import condition
 from .modes import DEFAULT_PHOTON_CAP
 from .network import CONSTRUCTION_TOL, identity, substitute
-from .poly import sig12
+from .poly import report_value
 from .suites import SuiteCapError, run_nogo_suite, run_oracle_suite
 
 SCHEMA_VERSION = "1"
@@ -93,7 +93,7 @@ def _cmd_condition(args) -> int:
         conditionals.append(
             {
                 "outcome": cond.outcome,
-                "weight": sig12(cond.weight),
+                "weight": report_value(cond.weight),
                 "state": cond.state.to_dict(),
             }
         )

@@ -26,7 +26,7 @@ from .errors import StrategyError
 from .measurement import CascadeStage, run_cascade, validate_strategy
 from .network import LinearNetwork
 from .nogo import transformed_expansions, verify_no_go, _check_aux, _check_states
-from .poly import CreationPolynomial, sig12, vacuum_inner_product, vacuum_norm_sq
+from .poly import CreationPolynomial, report_value, vacuum_inner_product, vacuum_norm_sq
 
 INPUT_ORTHOGONALITY_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-9
@@ -83,28 +83,7 @@ class StageReport:
     verdict: bool
 
     def to_dict(self) -> dict:
-        return {
-            "measured": self.measured,
-            "max_outcome": self.max_outcome,
-            "verdict": self.verdict,
-            "records": [
-                {
-                    "i": r.i,
-                    "j": r.j,
-                    "outcome": r.outcome,
-                    "inner_product": {
-                        "re": sig12(r.inner_product.real),
-                        "im": sig12(r.inner_product.imag),
-                    },
-                    "weight_i": sig12(r.weight_i),
-                    "weight_j": sig12(r.weight_j),
-                    "orthogonal": r.orthogonal,
-                    "vacuous": r.vacuous,
-                    "distinguished": r.distinguished,
-                }
-                for r in self.records
-            ],
-        }
+        return report_value(self)
 
 
 def stage_orthogonality(
@@ -179,19 +158,7 @@ class CascadeReport:
         return tuple(leaf for leaf in self.leaves if leaf.ambiguous)
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "leaves": [
-                {
-                    "history": list(leaf.history),
-                    "label": leaf.label,
-                    "probabilities": [sig12(p) for p in leaf.probabilities],
-                    "reachable_states": list(leaf.reachable_states),
-                    "ambiguous": leaf.ambiguous,
-                }
-                for leaf in self.leaves
-            ],
-        }
+        return report_value(self)
 
 
 def cascade_discrimination(instance: DiscriminationInstance) -> CascadeReport:
@@ -266,23 +233,7 @@ class ProbeReport:
     all_hold: bool
 
     def to_dict(self) -> dict:
-        return {
-            "sigma_min": sig12(self.sigma_min),
-            "diagonal_value": sig12(self.diagonal_value),
-            "all_hold": self.all_hold,
-            "pairs": [
-                {
-                    "i": p.i,
-                    "j": p.j,
-                    "no_aux_norm": sig12(p.no_aux_norm),
-                    "with_aux_norm": sig12(p.with_aux_norm),
-                    "lower_bound": sig12(p.lower_bound),
-                    "bound_holds": p.bound_holds,
-                    "implication_holds": p.implication_holds,
-                }
-                for p in self.pairs
-            ],
-        }
+        return report_value(self)
 
 
 def necessity_probe(

@@ -26,7 +26,7 @@ from typing import Mapping, Union
 from .errors import PhotonCapError, SchemaError, StrategyError, UnitarityViolation, ZeroStateError
 from .modes import ModeRegistry
 from .network import CONSTRUCTION_TOL, LinearNetwork, network_from_dict, substitute
-from .poly import CreationPolynomial, Exponents, _mul_into, factorial, sig12, vacuum_norm_sq
+from .poly import _FACTORIAL, CreationPolynomial, Exponents, _mul_into, report_value, vacuum_norm_sq
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,7 @@ class ModeExpansion:
         """Outcome probabilities ``N! ||q_N|0>||^2 / ||p|0>||^2`` for
         N = 0..order.  The buckets hold exactly the source's terms, so the
         normalizer ``sum_n n! ||q_n|0>||^2`` is ``||p|0>||^2``."""
-        cap = self.source_registry.photon_cap
-        raw = [factorial(n, cap) * vacuum_norm_sq(q) for n, q in enumerate(self.coefficients)]
+        raw = [_FACTORIAL[n] * vacuum_norm_sq(q) for n, q in enumerate(self.coefficients)]
         total = sum(raw)
         if total == 0:
             raise ZeroStateError("cannot measure the zero state")
@@ -204,9 +203,9 @@ class OutcomeNode:
     """
 
     history: tuple[int, ...]
-    conditional_weight: float
+    conditional_weight: float = field(metadata={"json": "weight"})
     probability: float
-    state: CreationPolynomial
+    state: CreationPolynomial = field(metadata={"json": None})
     zero_weight: bool
     covered: bool
     label: str | None = None
@@ -224,18 +223,7 @@ class OutcomeNode:
         return out
 
     def to_dict(self) -> dict:
-        node = {
-            "history": list(self.history),
-            "weight": sig12(self.conditional_weight),
-            "probability": sig12(self.probability),
-            "zero_weight": self.zero_weight,
-        }
-        if self.is_leaf():
-            node["label"] = self.label
-            node["covered"] = self.covered
-        else:
-            node["children"] = [child.to_dict() for child in self.children]
-        return node
+        return report_value(self)
 
 
 ZERO_WEIGHT_TOL = 1e-12
@@ -303,26 +291,35 @@ def validate_strategy(
     Checks that every stage measures a still-available mode, that stage
     networks match the surviving registry, and that no branch key references
     an impossible photon count (more photons than can remain at that point).
+    Every error starts with the failing stage's branch path from the root.
     """
+    _validate_stage(stage, registry, max_photons, "strategy")
+
+
+def _validate_stage(
+    stage: CascadeStage, registry: ModeRegistry, max_photons: int, where: str
+) -> None:
     if stage.measure not in registry:
-        raise StrategyError(f"stage measures unavailable mode {stage.measure!r}")
+        raise StrategyError(f"{where}: stage measures unavailable mode {stage.measure!r}")
     if stage.network is not None and stage.network.registry != registry:
         raise StrategyError(
-            f"stage network modes {stage.network.registry.labels} do not match "
+            f"{where}: stage network modes {stage.network.registry.labels} do not match "
             f"surviving modes {registry.labels}"
         )
     for n, branch in stage.branches.items():
         if not isinstance(n, int) or n < 0:
-            raise StrategyError(f"branch key {n!r} is not a photon count")
+            raise StrategyError(f"{where}: branch key {n!r} is not a photon count")
         if n > max_photons:
             raise StrategyError(
-                f"branch for outcome {n} is unreachable (at most {max_photons} "
+                f"{where}: branch for outcome {n} is unreachable (at most {max_photons} "
                 f"photons can arrive here)"
             )
         if isinstance(branch, CascadeStage):
-            validate_strategy(branch, registry.without(stage.measure), max_photons - n)
+            _validate_stage(
+                branch, registry.without(stage.measure), max_photons - n, f"{where}.branches[{n}]"
+            )
         elif not isinstance(branch, str):
-            raise StrategyError(f"branch must be a stage or a label, got {branch!r}")
+            raise StrategyError(f"{where}: branch must be a stage or a label, got {branch!r}")
 
 
 def strategy_from_dict(

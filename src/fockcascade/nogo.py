@@ -53,7 +53,7 @@ One table of A serves both the transfer matrix and the recursive component.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -63,7 +63,7 @@ from .network import LinearNetwork, substitute
 from .poly import (
     CreationPolynomial,
     _ordering_weight,
-    sig12,
+    report_value,
     vacuum_inner_product,
     vacuum_norm_sq,
 )
@@ -382,8 +382,8 @@ class NoGoReport:
     description: str
     aux_order: int
     system_order: int
-    leading_aux_norm: float
-    transfer: tuple[tuple[float, ...], ...]
+    leading_aux_norm: float = field(metadata={"json": "diagonal_value"})
+    transfer: tuple[tuple[float, ...], ...] = field(metadata={"json": "transfer_matrix"})
     determinant: float
     determinant_expected: float
     determinant_ok: bool
@@ -397,39 +397,7 @@ class NoGoReport:
         return max(p.residual for p in self.pairs)
 
     def to_dict(self) -> dict:
-        return {
-            "description": self.description,
-            "aux_order": self.aux_order,
-            "system_order": self.system_order,
-            "diagonal_value": sig12(self.leading_aux_norm),
-            "transfer_matrix": [[sig12(x) for x in row] for row in self.transfer],
-            "determinant": sig12(self.determinant),
-            "determinant_expected": sig12(self.determinant_expected),
-            "determinant_ok": self.determinant_ok,
-            "diagonal_ok": self.diagonal_ok,
-            "triangular_ok": self.triangular_ok,
-            "passed": self.passed,
-            "pairs": [
-                {
-                    "i": p.i,
-                    "j": p.j,
-                    "with_aux": _cvec(p.with_aux),
-                    "coefficient": _cvec(p.coefficient),
-                    "predicted": _cvec(p.predicted),
-                    "residual": sig12(p.residual),
-                    "residual_bound": sig12(p.residual_bound),
-                    "with_aux_zero": p.with_aux_zero,
-                    "coefficient_zero": p.coefficient_zero,
-                    "zero_equivalent": p.zero_equivalent,
-                    "passed": p.passed,
-                }
-                for p in self.pairs
-            ],
-        }
-
-
-def _cvec(values) -> list[dict]:
-    return [{"re": sig12(z.real), "im": sig12(z.imag)} for z in values]
+        return report_value(self)
 
 
 def verify_no_go(

@@ -25,12 +25,16 @@ The public constructor validates every exponent tuple.  Arithmetic on
 polynomials that were already validated builds its result through
 :meth:`CreationPolynomial._trusted`, which prunes the same way but skips the
 per-exponent checks; a product that could exceed the photon cap still goes
-through the validating constructor.
+through the validating constructor.  So no exponent ever exceeds the cap:
+the validating constructor, ``*``, ``network.substitute`` and
+``measurement.product_coefficients`` all keep it there, and factorials are
+read from a table that ends at the largest cap without a range check.
 """
 
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import json
 import math
 import operator
@@ -44,18 +48,36 @@ Exponents = tuple[int, ...]
 _FACTORIAL = [float(math.factorial(n)) for n in range(MAX_PHOTON_CAP + 1)]
 
 
-def factorial(n: int, cap: int) -> float:
-    """n! as a double, rejecting n above the configured photon cap."""
-    if n < 0:
-        raise ValueError("factorial of a negative occupation")
-    if n > cap:
-        raise PhotonCapError(f"occupation {n} exceeds photon cap {cap}")
-    return _FACTORIAL[n]
-
-
 def sig12(x: float) -> float:
     """``x`` at twelve significant digits, the precision of every JSON report."""
     return float(f"{x:.12g}")
+
+
+def report_value(value):
+    """``value`` in the form of every JSON report.
+
+    ``None``, ints (bools too) and strings pass through, a float goes
+    through :func:`sig12`, a tuple or list becomes a list, a complex number
+    ``{"re", "im"}``, and a dataclass a dict of its fields.  A field is
+    written under its ``metadata["json"]`` name when that is set, and left
+    out when that is ``None``.
+    """
+    if value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, float):
+        return sig12(value)
+    if isinstance(value, (tuple, list)):
+        return [report_value(v) for v in value]
+    if isinstance(value, complex):
+        return {"re": sig12(value.real), "im": sig12(value.imag)}
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        out = {}
+        for f in dataclasses.fields(value):
+            key = f.metadata.get("json", f.name)
+            if key is not None:
+                out[key] = report_value(getattr(value, f.name))
+        return out
+    raise TypeError(f"no report form for {type(value).__name__}")
 
 
 def _graded_lex(item: tuple[Exponents, complex]):
@@ -324,22 +346,14 @@ def vacuum_inner_product(p: CreationPolynomial, q: CreationPolynomial) -> comple
     per-mode factorials ``prod_i m_i!``.
     """
     p.registry.require_same(q.registry)
-    cap = p.registry.photon_cap
-    left, right = p._terms, q._terms
-    if len(right) < len(left):
-        total = 0.0 + 0.0j
-        for exps, cq in right.items():
-            cp = left.get(exps)
-            if cp is not None:
-                total += cp.conjugate() * cq * math.prod(
-                    factorial(e, cap) for e in exps
-                )
-        return total
+    swap = len(q._terms) < len(p._terms)
+    small, large = (q._terms, p._terms) if swap else (p._terms, q._terms)
     total = 0.0 + 0.0j
-    for exps, cp in left.items():
-        cq = right.get(exps)
-        if cq is not None:
-            total += cp.conjugate() * cq * math.prod(factorial(e, cap) for e in exps)
+    for exps, c in small.items():
+        other = large.get(exps)
+        if other is not None:
+            cp, cq = (other, c) if swap else (c, other)
+            total += cp.conjugate() * cq * math.prod(map(_FACTORIAL.__getitem__, exps))
     return total
 
 

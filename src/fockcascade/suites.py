@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -12,7 +12,7 @@ from .measurement import expand_by_mode
 from .network import random_network, substitute
 from .nogo import NoGoReport, verify_no_go
 from .modes import ModeRegistry
-from .poly import sig12, vacuum_norm_sq
+from .poly import report_value, vacuum_norm_sq
 from .sampling import random_aux_state, random_nogo_instance
 
 SIZE_CAPS = {
@@ -46,7 +46,7 @@ class NoGoSuiteResult:
     max_residual: float
     max_det_deviation: float
     all_passed: bool
-    elapsed_seconds: float
+    elapsed_seconds: float = field(metadata={"json": None})
 
     def summary(self) -> str:
         status = "PASS" if self.all_passed else "FAIL"
@@ -57,16 +57,7 @@ class NoGoSuiteResult:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": "2",
-            "suite": "verify-nogo",
-            "seed": self.seed,
-            "count": self.count,
-            "max_residual": sig12(self.max_residual),
-            "max_det_deviation": sig12(self.max_det_deviation),
-            "all_passed": self.all_passed,
-            "reports": [r.to_dict() for r in self.reports],
-        }
+        return {"schema_version": "2", "suite": "verify-nogo", **report_value(self)}
 
 
 def run_nogo_suite(
@@ -137,7 +128,7 @@ class OracleSuiteResult:
     max_weight_deviation: float
     max_overlap_deviation: float
     all_passed: bool
-    elapsed_seconds: float
+    elapsed_seconds: float = field(metadata={"json": None})
 
     def summary(self) -> str:
         status = "PASS" if self.all_passed else "FAIL"
@@ -149,16 +140,7 @@ class OracleSuiteResult:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": "1",
-            "suite": "oracle-check",
-            "seed": self.seed,
-            "count": self.count,
-            "max_amplitude_deviation": sig12(self.max_amplitude_deviation),
-            "max_weight_deviation": sig12(self.max_weight_deviation),
-            "max_overlap_deviation": sig12(self.max_overlap_deviation),
-            "all_passed": self.all_passed,
-        }
+        return {"schema_version": "1", "suite": "oracle-check", **report_value(self)}
 
 
 def run_oracle_suite(

@@ -1,9 +1,14 @@
 """Command-line interface: schemas, exit codes, golden outputs, determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fockcascade import cli, nogo
 from fockcascade.cli import main
@@ -443,6 +448,22 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err == "error: strategy.branches[0]: unknown strategy fields ['oops']\n", err
 
+    def test_unreachable_branch_names_the_stage(self, tmp_path, capsys):
+        payload = {
+            "modes": ["m1", "m2", "m3"],
+            "states": [_photon_terms((1, 0, 0)), _photon_terms((0, 1, 0))],
+            "strategy": {
+                "measure": "m3",
+                "branches": {"0": {"measure": "m1", "branches": {"5": "x"}}},
+            },
+        }
+        assert main(["check", write(tmp_path, "inst.json", payload)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: strategy.branches[0]: branch for outcome 5 is unreachable "
+            "(at most 1 photons can arrive here)\n"
+        ), err
+
     def test_non_unitary_named_network_names_itself(self, tmp_path, capsys):
         payload = _with(
             pair_instance(IDENTITY_JSON),
@@ -481,3 +502,160 @@ class TestLastResort:
         err = capsys.readouterr().err
         assert err.startswith("error: internal error (RuntimeError at test_cli.py:")
         assert err.endswith("): boom second line\n") and err.count("\n") == 1, err
+
+
+def key_sets(node, path=""):
+    """Map each nesting level of a report (list indices written ``[]``) to
+    the set of key sets its objects carry."""
+    out: dict[str, set] = {}
+    if isinstance(node, dict):
+        out.setdefault(path, set()).add(frozenset(node))
+        for key, value in node.items():
+            for sub, keys in key_sets(value, f"{path}.{key}" if path else key).items():
+                out.setdefault(sub, set()).update(keys)
+    elif isinstance(node, list):
+        for value in node:
+            for sub, keys in key_sets(value, path + "[]").items():
+                out.setdefault(sub, set()).update(keys)
+    return out
+
+
+COMPLEX = {"re", "im"}
+POLY = {"": {"modes", "terms"}, ".terms[]": {"exp", "re", "im"}}
+
+
+class TestReportKeys:
+    """The exact keys at every level of every report, so that a renamed,
+    added or dropped field (such as a timing) shows."""
+
+    def keys_of(self, tmp_path, argv):
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        return key_sets(json.loads(out.read_text()))
+
+    @staticmethod
+    def expect(levels):
+        return {k: {frozenset(v)} for k, v in levels.items()}
+
+    def test_verify_nogo(self, tmp_path):
+        pair = "reports[].pairs[]"
+        assert self.keys_of(tmp_path, ["verify-nogo", "--count", "3", "--seed", "3"]) == self.expect({
+            "": {"schema_version", "suite", "seed", "count", "max_residual",
+                 "max_det_deviation", "all_passed", "reports"},
+            "reports[]": {"description", "aux_order", "system_order", "diagonal_value",
+                          "transfer_matrix", "determinant", "determinant_expected",
+                          "determinant_ok", "diagonal_ok", "triangular_ok", "passed", "pairs"},
+            pair: {"i", "j", "with_aux", "coefficient", "predicted", "residual",
+                   "residual_bound", "with_aux_zero", "coefficient_zero",
+                   "zero_equivalent", "passed"},
+            f"{pair}.with_aux[]": COMPLEX,
+            f"{pair}.coefficient[]": COMPLEX,
+            f"{pair}.predicted[]": COMPLEX,
+        })
+
+    def test_oracle_check(self, tmp_path):
+        assert self.keys_of(tmp_path, ["oracle-check", "--count", "2"]) == self.expect({
+            "": {"schema_version", "suite", "seed", "count", "max_amplitude_deviation",
+                 "max_weight_deviation", "max_overlap_deviation", "all_passed"},
+        })
+
+    def test_check(self, tmp_path):
+        path = write(tmp_path, "inst.json", check_instance(with_splitter=True))
+        assert self.keys_of(tmp_path, ["check", path]) == self.expect({
+            "": {"schema_version", "command", "verdict", "cascade", "root_stage"},
+            "cascade": {"verdict", "leaves"},
+            "cascade.leaves[]": {"history", "label", "probabilities",
+                                 "reachable_states", "ambiguous"},
+            "root_stage": {"measured", "max_outcome", "verdict", "records"},
+            "root_stage.records[]": {"i", "j", "outcome", "inner_product", "weight_i",
+                                     "weight_j", "orthogonal", "vacuous", "distinguished"},
+            "root_stage.records[].inner_product": COMPLEX,
+        })
+
+    def test_condition(self, tmp_path):
+        path = write(tmp_path, "inst.json", pair_instance(HADAMARD_JSON))
+        assert self.keys_of(tmp_path, ["condition", path, "--outcome", "2"]) == self.expect({
+            "": {"schema_version", "command", "measured", "conditionals"},
+            "conditionals[]": {"outcome", "weight", "state"},
+            **{f"conditionals[].state{k}": v for k, v in POLY.items()},
+        })
+
+    def test_simulate(self, tmp_path):
+        path = write(tmp_path, "inst.json", pair_instance(HADAMARD_JSON))
+        assert self.keys_of(tmp_path, ["simulate", path]) == self.expect({
+            "": {"schema_version", "command", "output_states"},
+            **{f"output_states[]{k}": v for k, v in POLY.items()},
+        })
+
+
+# A small valid instance on which check, simulate and condition all exit 0.
+FUZZ_BASE = {
+    "modes": ["a", "b", "c"],
+    "system_modes": ["a", "b"],
+    "aux_modes": ["c"],
+    "states": [
+        {"terms": [{"exp": [1, 0, 0], "re": R, "im": 0.0}, {"exp": [0, 1, 0], "re": R, "im": 0.0}]},
+        {"terms": [{"exp": [1, 0, 0], "re": R, "im": 0.0}, {"exp": [0, 1, 0], "re": -R, "im": 0.0}]},
+    ],
+    "aux": {"terms": [{"exp": [0, 0, 1], "re": 1.0, "im": 0.0}]},
+    "network": {"elements": [{"bs": {"theta": 0.5, "phi": 0.1, "i": "a", "j": "c"}}]},
+    "measure": "a",
+    "strategy": {
+        "network": {"elements": [{"bs": {"theta": math.pi / 4, "phi": 0.0, "i": "a", "j": "b"}}]},
+        "measure": "a",
+        "branches": {"0": {"measure": "b", "branches": {"0": "x", "1": "y"}}, "1": "z"},
+    },
+}
+FUZZ_VALUES = [None, True, False, -3, 10**30, float("nan"), "x", [], {}, [[1, [2.5]]]]
+FUZZ_COMMANDS = (["check"], ["simulate"], ["condition", "--outcome", "1"])
+
+
+def _node_paths(node, prefix=()):
+    """Paths to every node below the root, as key and index sequences."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _node_paths(value, prefix + (key,))
+
+
+def _run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestMutatedInstances:
+    """Every mutation of a valid instance ends on a documented exit code with
+    at most one stderr line, never on a traceback."""
+
+    def test_base_instance_runs(self, tmp_path):
+        path = write(tmp_path, "inst.json", FUZZ_BASE)
+        for command in FUZZ_COMMANDS:
+            assert _run(command + [path, "--out", str(tmp_path / "out.json")]) == (0, "")
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_one_or_two_mutations(self, tmp_path, data):
+        doc = copy.deepcopy(FUZZ_BASE)
+        for _ in range(data.draw(st.integers(1, 2), label="mutations")):
+            node_path = data.draw(st.sampled_from(list(_node_paths(doc))), label="path")
+            parent = doc
+            for key in node_path[:-1]:
+                parent = parent[key]
+            value = data.draw(st.sampled_from(["delete"] + FUZZ_VALUES), label="value")
+            if value == "delete":
+                del parent[node_path[-1]]
+            else:
+                parent[node_path[-1]] = copy.deepcopy(value)
+        path = write(tmp_path, "inst.json", doc)
+        for command in FUZZ_COMMANDS:
+            code, err = _run(command + [path, "--out", str(tmp_path / "out.json")])
+            assert code in (0, 2, 3, 4), (command, code, err)
+            if code:
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+            else:
+                assert err == "", err
+            assert "Traceback" not in err

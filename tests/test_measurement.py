@@ -304,6 +304,14 @@ class TestCascade:
         json.dumps(tree)
         assert by_history[(2,)]["weight"] == 0.5
 
+    def test_tree_nodes_share_one_key_set(self):
+        # Inner nodes and leaves carry the same keys; the state is left out.
+        stage = CascadeStage(measure="c", branches={0: "low", 2: "high"})
+        tree = run_cascade(hom_state(), stage).to_dict()
+        keys = {"history", "weight", "probability", "zero_weight", "covered", "label", "children"}
+        assert set(tree) == keys and all(set(c) == keys for c in tree["children"])
+        assert tree["children"][0]["children"] == [] and tree["label"] is None
+
 
 class TestStrategyValidation:
     def test_unreachable_branch(self):

@@ -1,5 +1,7 @@
 """Creation-operator polynomial algebra."""
 
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from fockcascade import (
     vacuum_inner_product,
     vacuum_norm_sq,
 )
+from fockcascade.poly import report_value
 from helpers import bracket_int, dense_annihilation_string, random_poly
 
 REG2 = ModeRegistry(("a1", "a2"))
@@ -269,3 +272,39 @@ class TestSerialization:
         p = mode(REG2, "a1")
         with pytest.raises(ValueError):
             CreationPolynomial.from_dict(p.to_dict(), REG3)
+
+
+@dataclass(frozen=True)
+class _Record:
+    name: str
+    value: float = field(metadata={"json": "renamed"})
+    hidden: float = field(metadata={"json": None})
+    parts: tuple = ()
+
+
+class TestReportValue:
+    def test_floats_at_twelve_significant_digits(self):
+        assert report_value(1 / 3) == 0.333333333333
+        assert report_value(np.float64(2 / 3)) == 0.666666666667
+        assert type(report_value(np.float64(0.5))) is float
+
+    def test_complex_becomes_re_im(self):
+        assert report_value(np.complex128(1 / 3 - 2j)) == {"re": 0.333333333333, "im": -2.0}
+
+    def test_passthrough_keeps_bools_and_ints(self):
+        assert report_value(True) is True
+        assert report_value(7) == 7 and type(report_value(7)) is int
+        assert report_value(None) is None and report_value("x") == "x"
+
+    def test_dataclass_renames_omits_and_recurses(self):
+        record = _Record("a", 1 / 3, 9.0, parts=((1, 2.0), [1j]))
+        assert report_value(record) == {
+            "name": "a",
+            "renamed": 0.333333333333,
+            "parts": [[1, 2.0], [{"re": 0.0, "im": 1.0}]],
+        }
+
+    @pytest.mark.parametrize("value", [{"k": 1}, {1, 2}, np.arange(2), object(), _Record])
+    def test_unsupported_type_raises(self, value):
+        with pytest.raises(TypeError):
+            report_value(value)
