@@ -162,7 +162,7 @@ class CascadeReport:
 
 
 def cascade_discrimination(instance: DiscriminationInstance) -> CascadeReport:
-    """Run the strategy on every candidate and judge leaf-level ambiguity.
+    """Run the strategy once on the candidate set and judge its leaves.
 
     Passes when every outcome history reached with nonzero probability is
     reached by exactly one input state.  Raises StrategyError when the
@@ -172,41 +172,17 @@ def cascade_discrimination(instance: DiscriminationInstance) -> CascadeReport:
     if instance.strategy is None:
         raise StrategyError("instance has no strategy to check")
     totals = [instance.aux * psi for psi in instance.states]
-    registry = totals[0].registry
-    max_photons = max(t.degree for t in totals)
-    validate_strategy(instance.strategy, registry, max_photons)
-
-    leaf_map: dict[tuple[int, ...], dict] = {}
-    for idx, total in enumerate(totals):
-        tree = run_cascade(total, instance.strategy)
-        for leaf in tree.leaves():
-            # A history's label and coverage come from the strategy branch
-            # there alone, so the first input to reach it sets them.
-            entry = leaf_map.setdefault(
-                leaf.history,
-                {"label": leaf.label, "covered": leaf.covered,
-                 "probs": [0.0] * len(totals)},
-            )
-            entry["probs"][idx] = leaf.probability
+    validate_strategy(instance.strategy, totals[0].registry, max(t.degree for t in totals))
 
     leaves = []
-    for history in sorted(leaf_map):
-        entry = leaf_map[history]
-        reachable = tuple(
-            idx for idx, p in enumerate(entry["probs"]) if p >= VACUOUS_WEIGHT_TOL
-        )
-        if reachable and not entry["covered"]:
+    for leaf in run_cascade(totals, instance.strategy).leaves():
+        reachable = tuple(k for k, p in enumerate(leaf.probabilities) if p >= VACUOUS_WEIGHT_TOL)
+        if reachable and not leaf.covered:
             raise StrategyError(
-                f"strategy leaves reachable outcome history {history} uncovered"
+                f"strategy leaves reachable outcome history {leaf.history} uncovered"
             )
         leaves.append(
-            LeafRecord(
-                history=history,
-                label=entry["label"],
-                probabilities=tuple(entry["probs"]),
-                reachable_states=reachable,
-                ambiguous=len(reachable) > 1,
-            )
+            LeafRecord(leaf.history, leaf.label, leaf.probabilities, reachable, len(reachable) > 1)
         )
     return CascadeReport(
         verdict=all(not leaf.ambiguous for leaf in leaves),

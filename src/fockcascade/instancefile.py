@@ -23,10 +23,11 @@ case the instance registry applies.  Unknown fields anywhere are rejected.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import SchemaError, UnitarityViolation
+from .errors import PhotonCapError, SchemaError, UnitarityViolation
 from .measurement import CascadeStage, strategy_from_dict
 from .modes import DEFAULT_PHOTON_CAP, ModeRegistry
 from .network import CONSTRUCTION_TOL, LinearNetwork, network_from_dict
@@ -103,6 +104,19 @@ def _check_poly_dict(data, where: str) -> None:
             )
 
 
+def _poly_from_dict(data, registry: ModeRegistry, where: str) -> CreationPolynomial:
+    """One polynomial of the file: a SchemaError when it is malformed, a
+    PhotonCapError when it is over the cap, each starting with ``where``."""
+    _check_poly_dict(data, where)
+    try:
+        return CreationPolynomial.from_dict(data, registry)
+    except PhotonCapError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise SchemaError(f"{where}: {exc}") from None
+
+
 def parse_instance(
     data,
     photon_cap: int = DEFAULT_PHOTON_CAP,
@@ -110,9 +124,11 @@ def parse_instance(
 ) -> Instance:
     """Validate a decoded instance object and build the typed pieces.
 
-    Raises SchemaError on structural problems.  Numeric validation failures
-    (a non-unitary matrix) surface as UnitarityViolation from the network
-    constructor and are left to the caller to map onto an exit code.
+    Raises SchemaError on structural problems and on a tolerance that is
+    negative or not finite.  A non-unitary matrix surfaces as
+    UnitarityViolation from the network constructor, and an occupation over
+    the cap as PhotonCapError; both are left to the caller to map onto an
+    exit code.
     """
     _require(isinstance(data, Mapping), "instance must be a JSON object")
     unknown = set(data) - _TOP_FIELDS
@@ -128,26 +144,21 @@ def parse_instance(
         registry = ModeRegistry(tuple(data["modes"]), photon_cap=photon_cap)
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
+    _require(
+        math.isfinite(unitarity_tol) and unitarity_tol >= 0,
+        f"--tolerance must be a finite number, at least 0, got {unitarity_tol}",
+    )
 
     _require("states" in data, "instance needs a 'states' list")
     _require(
         isinstance(data["states"], list) and data["states"],
         "'states' must be a non-empty list",
     )
-    states = []
-    for k, raw in enumerate(data["states"]):
-        _check_poly_dict(raw, f"states[{k}]")
-        try:
-            states.append(CreationPolynomial.from_dict(raw, registry))
-        except Exception as exc:
-            raise SchemaError(f"states[{k}]: {exc}") from None
-
+    states = [
+        _poly_from_dict(raw, registry, f"states[{k}]") for k, raw in enumerate(data["states"])
+    ]
     if "aux" in data:
-        _check_poly_dict(data["aux"], "aux")
-        try:
-            aux = CreationPolynomial.from_dict(data["aux"], registry)
-        except Exception as exc:
-            raise SchemaError(f"aux: {exc}") from None
+        aux = _poly_from_dict(data["aux"], registry, "aux")
     else:
         aux = CreationPolynomial.constant(registry, 1.0)
 

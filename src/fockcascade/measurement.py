@@ -12,16 +12,16 @@ probability is
 
     weight(N) = N! * ||q_N|0>||^2 / ||p|0>||^2.
 
-Weights over all N sum to one.  :func:`run_cascade` iterates the procedure:
-mix the surviving modes in a network, measure one mode, and pick the next
-stage (or a decision label) based on the outcome, keeping zero-probability
-branches in the tree but flagged.
+Weights over all N sum to one.  :func:`run_cascade` iterates the procedure on
+a whole set of input states at once: mix the surviving modes in a network,
+measure one mode, and pick the next stage (or a decision label) based on the
+outcome, keeping zero-probability branches in the tree but flagged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import PhotonCapError, SchemaError, StrategyError, UnitarityViolation, ZeroStateError
 from .modes import ModeRegistry
@@ -194,18 +194,19 @@ class CascadeStage:
 
 @dataclass
 class OutcomeNode:
-    """Node of the evaluated outcome tree.
+    """Node of the outcome tree of one strategy on a set of inputs.
 
-    ``probability`` is cumulative from the root; ``conditional_weight`` is the
-    outcome probability given the parent.  Leaves carry a decision ``label``
-    (None when the strategy left the outcome uncovered).  Zero-probability
-    branches are kept, flagged, and never expanded further.
+    Per input: ``weights`` is the outcome probability given the parent,
+    ``probabilities`` is cumulative from the root, and ``states`` holds the
+    conditional state, None once the weight falls below ZERO_WEIGHT_TOL.
+    Leaves carry a decision ``label`` (None when the strategy left the outcome
+    uncovered).  A node no input reaches is kept, flagged, and not expanded.
     """
 
     history: tuple[int, ...]
-    conditional_weight: float = field(metadata={"json": "weight"})
-    probability: float
-    state: CreationPolynomial = field(metadata={"json": None})
+    weights: tuple[float, ...]
+    probabilities: tuple[float, ...]
+    states: tuple[CreationPolynomial | None, ...] = field(metadata={"json": None})
     zero_weight: bool
     covered: bool
     label: str | None = None
@@ -229,20 +230,24 @@ class OutcomeNode:
 ZERO_WEIGHT_TOL = 1e-12
 
 
-def run_cascade(input_state: CreationPolynomial, stage: CascadeStage) -> OutcomeNode:
-    """Evaluate a cascade strategy on one input state.
+def run_cascade(input_states: Sequence[CreationPolynomial], stage: CascadeStage) -> OutcomeNode:
+    """Evaluate a cascade strategy on nonzero input states of one registry.
 
-    Returns the root of the outcome tree.  Every possible photon count at each
-    stage gets a node (zero-weight ones flagged); cumulative probabilities
-    over any frontier of the tree sum to one.
+    Returns the root of the one outcome tree, whose leaves are the strategy's
+    outcome histories.  Every possible photon count at each stage gets a node
+    (zero-weight ones flagged); per input, cumulative probabilities over any
+    frontier of the tree sum to one.
     """
-    if input_state.is_zero():
-        raise ZeroStateError("cannot run a cascade on the zero state")
+    states = tuple(input_states)
+    if not states or any(s.is_zero() for s in states):
+        raise ZeroStateError("cannot run a cascade on the zero state or on no state")
+    for s in states:
+        states[0].registry.require_same(s.registry)
     root = OutcomeNode(
         history=(),
-        conditional_weight=1.0,
-        probability=1.0,
-        state=input_state,
+        weights=(1.0,) * len(states),
+        probabilities=(1.0,) * len(states),
+        states=states,
         zero_weight=False,
         covered=True,
     )
@@ -251,31 +256,33 @@ def run_cascade(input_state: CreationPolynomial, stage: CascadeStage) -> Outcome
 
 
 def _expand_stage(node: OutcomeNode, stage: CascadeStage) -> None:
-    state = node.state
-    registry = state.registry
+    registry = next(s for s in node.states if s is not None).registry
     if stage.measure not in registry:
         raise StrategyError(
             f"strategy measures mode {stage.measure!r} which is not available "
             f"(already measured or unknown)"
         )
-    if stage.network is not None:
-        stage.network.registry.require_same(registry)
-        state = substitute(state, stage.network)
-    expansion = expand_by_mode(state, stage.measure)
-    for n, weight in enumerate(expansion.weights()):
-        part = expansion.coefficient(n)
-        zero = weight < ZERO_WEIGHT_TOL
+    net = stage.network
+    if net is not None:
+        net.registry.require_same(registry)
+    mixed = [s if s is None or net is None else substitute(s, net) for s in node.states]
+    expansions = [s if s is None else expand_by_mode(s, stage.measure) for s in mixed]
+    weights = [() if e is None else e.weights() for e in expansions]
+    for n in range(max(map(len, weights))):
+        row = tuple(w[n] if n < len(w) else 0.0 for w in weights)
         child = OutcomeNode(
             history=node.history + (n,),
-            conditional_weight=weight,
-            probability=node.probability * weight,
-            state=part,
-            zero_weight=zero,
+            weights=row,
+            probabilities=tuple(p * w for p, w in zip(node.probabilities, row)),
+            states=tuple(
+                e.coefficient(n) if w >= ZERO_WEIGHT_TOL else None for e, w in zip(expansions, row)
+            ),
+            zero_weight=max(row) < ZERO_WEIGHT_TOL,
             covered=True,
         )
         node.children.append(child)
         branch = stage.branches.get(n)
-        if isinstance(branch, CascadeStage) and not zero:
+        if isinstance(branch, CascadeStage) and not child.zero_weight:
             _expand_stage(child, branch)
         elif isinstance(branch, str):
             child.label = branch
@@ -360,8 +367,11 @@ def _stage_from_dict(
     if not isinstance(raw_branches, Mapping):
         raise StrategyError(f"{where}: strategy branches must be an object, got {raw_branches!r}")
     for key, value in raw_branches.items():
+        # Canonical decimal only: "1" and "01" must not both name outcome 1.
         try:
             n = int(key)
+            if n < 0 or str(n) != key:
+                raise ValueError(key)
         except (TypeError, ValueError):
             raise StrategyError(f"{where}: branch key {key!r} is not a photon count") from None
         if isinstance(value, str):

@@ -114,3 +114,45 @@ def orthogonal_states(
         if vacuum_norm_sq(cand) > 1e-6:
             states.append(cand.scale(1.0 / math.sqrt(vacuum_norm_sq(cand))))
     return states
+
+
+def bell_instance() -> dict:
+    """Instance file of the four polarization Bell states of photons a and b.
+
+    Modes aH, aV, bH, bV.  The strategy mixes aH with bH and aV with bV on
+    50:50 splitters, then measures all four modes in that order with a
+    branch for every photon count that can remain, and labels each leaf by
+    its outcome history.  There is no auxiliary state (it is the constant 1).
+    """
+    modes = ["aH", "aV", "bH", "bV"]
+    r = 1.0 / math.sqrt(2.0)
+
+    def pair(first, second, sign):
+        return {"terms": [{"exp": first, "re": r, "im": 0.0},
+                          {"exp": second, "re": sign * r, "im": 0.0}]}
+
+    def stage(rest, remaining, history=()):
+        branches = {}
+        for n in range(remaining + 1):
+            path = history + (n,)
+            branches[str(n)] = (
+                stage(rest[1:], remaining - n, path) if len(rest) > 1
+                else "h" + "-".join(map(str, path))
+            )
+        return {"measure": rest[0], "branches": branches}
+
+    strategy = stage(modes, 2)
+    strategy["network"] = {"elements": [
+        {"bs": {"theta": math.pi / 4, "phi": 0.0, "i": "aH", "j": "bH"}},
+        {"bs": {"theta": math.pi / 4, "phi": 0.0, "i": "aV", "j": "bV"}},
+    ]}
+    return {
+        "modes": modes,
+        "states": [
+            pair([1, 0, 1, 0], [0, 1, 0, 1], 1.0),   # Phi+
+            pair([1, 0, 1, 0], [0, 1, 0, 1], -1.0),  # Phi-
+            pair([1, 0, 0, 1], [0, 1, 1, 0], 1.0),   # Psi+
+            pair([1, 0, 0, 1], [0, 1, 1, 0], -1.0),  # Psi-
+        ],
+        "strategy": strategy,
+    }

@@ -1,10 +1,13 @@
 """Command-line interface: schemas, exit codes, golden outputs, determinism."""
 
+import argparse
 import contextlib
 import copy
 import io
 import json
 import math
+import pathlib
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 from fockcascade import cli, nogo
 from fockcascade.cli import main
+from helpers import bell_instance
 
 R = 0.7071067811865476  # 1/sqrt(2) at double precision
 HADAMARD_JSON = {
@@ -190,6 +194,18 @@ class TestCheck:
         path = write(tmp_path, "inst.json", payload)
         assert main(["check", path]) == 2
 
+    @pytest.mark.parametrize(
+        "payload", [check_instance(with_splitter=True), bell_instance()], ids=["plus-minus", "bell"]
+    )
+    def test_leaves_are_outcome_histories_of_the_strategy(self, tmp_path, capsys, payload):
+        # Some candidates have zero weight on branches that others take; no
+        # history where they stop is left as a leaf above the others' leaves.
+        assert main(["check", write(tmp_path, "inst.json", payload)]) == 0
+        leaves = json.loads(capsys.readouterr().out)["cascade"]["leaves"]
+        histories = [tuple(leaf["history"]) for leaf in leaves]
+        assert histories == sorted(histories)
+        assert not any(a != b and b[: len(a)] == a for a in histories for b in histories)
+
 
 class TestVerifyNogo:
     def test_small_batch_passes(self, tmp_path, capsys):
@@ -280,6 +296,20 @@ NAN_MATRIX = {
         [{"re": 0.0, "im": 0.0}, {"re": 1.0, "im": 0.0}],
     ]
 }
+DIAG_2_1_MATRIX = {
+    "matrix": [
+        [{"re": 2.0, "im": 0.0}, {"re": 0.0, "im": 0.0}],
+        [{"re": 0.0, "im": 0.0}, {"re": 1.0, "im": 0.0}],
+    ]
+}
+
+
+def single_photon_pair(branches):
+    return {
+        "modes": ["m1", "m2"],
+        "states": [_photon_terms((1, 0)), _photon_terms((0, 1))],
+        "strategy": {"measure": "m1", "branches": branches},
+    }
 
 
 class TestMalformedInputs:
@@ -366,6 +396,13 @@ class TestMalformedInputs:
                 "strategy": {"measure": "a", "branches": [1]},
             },
         ),
+        "coefficient-past-a-double": (
+            ["simulate"],
+            _with(
+                pair_instance(IDENTITY_JSON),
+                states=[{"terms": [{"exp": [1, 1], "re": 10**400, "im": 0.0}]}],
+            ),
+        ),
         "stage-network-with-both-shapes-and-an-unknown-field": (
             ["check"],
             {
@@ -387,6 +424,57 @@ class TestMalformedInputs:
         assert main(command + [path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "value, network",
+        [("nan", DIAG_2_1_MATRIX), ("inf", DIAG_2_1_MATRIX), ("-1", IDENTITY_JSON)],
+        ids=["nan", "inf", "negative"],
+    )
+    def test_tolerance_outside_its_range_exits_2(self, tmp_path, capsys, value, network):
+        # At nan or inf any matrix, such as the non-unitary diag(2, 1), would pass.
+        path = write(tmp_path, "inst.json", pair_instance(network))
+        assert main(["--tolerance", value, "simulate", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--tolerance" in err and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "where, payload",
+        [
+            ("states[0]", _with(pair_instance(IDENTITY_JSON), states=[_photon_terms((25, 0))])),
+            (
+                "aux",
+                _with(
+                    pair_instance(IDENTITY_JSON),
+                    modes=["m1", "m2", "b"],
+                    states=[_photon_terms((1, 1, 0))],
+                    network={"elements": []},
+                    aux=_photon_terms((0, 0, 25)),
+                ),
+            ),
+        ],
+        ids=["state", "aux"],
+    )
+    def test_occupation_over_the_cap_exits_4(self, tmp_path, capsys, where, payload):
+        # Exit 4 as for any other photon-cap violation, with the location.
+        assert main(["simulate", write(tmp_path, "inst.json", payload)]) == 4
+        err = capsys.readouterr().err
+        assert err == f"error: {where}: occupation 25 exceeds photon cap 20\n", err
+
+    @pytest.mark.parametrize(
+        "branches, key",
+        [
+            ({"0": "x", "1": "y", "01": "z"}, "01"),
+            ({"0": "x", " 1": "y"}, " 1"),
+            ({"0": "x", "1_0": "y"}, "1_0"),
+        ],
+        ids=["1-and-01", "leading-space", "underscore"],
+    )
+    def test_branch_key_outside_canonical_form_exits_2(self, tmp_path, capsys, branches, key):
+        # "1" and "01" would both name outcome 1, leaving the label to key order.
+        path = write(tmp_path, "inst.json", single_photon_pair(branches))
+        assert main(["check", path]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: strategy: branch key {key!r} is not a photon count\n", err
 
     def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
@@ -607,6 +695,7 @@ FUZZ_BASE = {
     },
 }
 FUZZ_VALUES = [None, True, False, -3, 10**30, float("nan"), "x", [], {}, [[1, [2.5]]]]
+FUZZ_BRANCH_KEYS = ["01", " 1", "1_0"]  # spellings of a photon count that are not canonical
 FUZZ_COMMANDS = (["check"], ["simulate"], ["condition", "--outcome", "1"])
 
 
@@ -641,13 +730,22 @@ class TestMutatedInstances:
     def test_one_or_two_mutations(self, tmp_path, data):
         doc = copy.deepcopy(FUZZ_BASE)
         for _ in range(data.draw(st.integers(1, 2), label="mutations")):
-            node_path = data.draw(st.sampled_from(list(_node_paths(doc))), label="path")
+            value = data.draw(st.sampled_from(["delete", "rename"] + FUZZ_VALUES), label="value")
+            paths = [
+                p for p in _node_paths(doc)
+                if value != "rename" or (p[-2:-1] == ("branches",) and isinstance(p[-1], str))
+            ]
+            if not paths:
+                continue
+            node_path = data.draw(st.sampled_from(paths), label="path")
             parent = doc
             for key in node_path[:-1]:
                 parent = parent[key]
-            value = data.draw(st.sampled_from(["delete"] + FUZZ_VALUES), label="value")
             if value == "delete":
                 del parent[node_path[-1]]
+            elif value == "rename":
+                new_key = data.draw(st.sampled_from(FUZZ_BRANCH_KEYS), label="key")
+                parent[new_key] = parent.pop(node_path[-1])
             else:
                 parent[node_path[-1]] = copy.deepcopy(value)
         path = write(tmp_path, "inst.json", doc)
@@ -659,3 +757,29 @@ class TestMutatedInstances:
             else:
                 assert err == "", err
             assert "Traceback" not in err
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _long_options(parser):
+    return {o for a in parser._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+
+
+class TestReadmeSynopsis:
+    def test_names_exactly_the_parser_options(self):
+        # The global-flags sentence and each subcommand's synopsis lines in
+        # README name the same long options that build_parser defines.
+        text = README.read_text(encoding="utf-8")
+        documented: dict[str, set] = {}
+        for line in text.split("## CLI", 1)[1].split("```")[1].splitlines():
+            words = line.split()
+            if words[:1] == ["fockcascade"]:
+                command = words[1]
+            if words:
+                documented.setdefault(command, set()).update(re.findall(r"--[a-z-]+", line))
+        flags = re.search(r"Global flags:(.*?)\.\s", text, re.S).group(1)
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(re.findall(r"--[a-z-]+", flags)) == _long_options(parser)
+        assert documented == {name: _long_options(p) for name, p in commands.choices.items()}

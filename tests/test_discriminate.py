@@ -23,8 +23,9 @@ from fockcascade import (
     vacuum_inner_product,
 )
 from fockcascade import discriminate, nogo
+from fockcascade.instancefile import parse_instance
 from fockcascade.sampling import random_aux_state
-from helpers import orthogonal_states
+from helpers import bell_instance, orthogonal_states
 
 REG2 = ModeRegistry(("m1", "m2"))
 
@@ -239,6 +240,21 @@ class TestCascadeDiscrimination:
         inst = DiscriminationInstance(states=(p, q), aux=constant_aux(REG2))
         with pytest.raises(StrategyError):
             cascade_discrimination(inst)
+
+
+class TestBellStates:
+    """The four polarization Bell states, two 50:50 splitters, all four
+    modes measured, no aux photons: two of the four states are identified,
+    a mean success probability of 1/2, the known maximum for linear optics
+    without ancillas (Calsamiglia & Lütkenhaus, Appl. Phys. B 72, 67 (2001))."""
+
+    def test_half_of_the_bell_states_identified(self):
+        data = parse_instance(bell_instance())
+        inst = DiscriminationInstance(states=data.states, aux=data.aux, strategy=data.strategy)
+        report = cascade_discrimination(inst)
+        assert report.verdict is False
+        identified = sum(sum(leaf.probabilities) for leaf in report.leaves if not leaf.ambiguous)
+        assert abs(identified / len(inst.states) - 0.5) <= 1e-12
 
 
 class TestTheoremEndToEnd:

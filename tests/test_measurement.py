@@ -9,6 +9,7 @@ from fockcascade import (
     FockBasis,
     ModeRegistry,
     PhotonCapError,
+    RegistryMismatchError,
     StrategyError,
     ZeroStateError,
     condition,
@@ -17,14 +18,17 @@ from fockcascade import (
     from_matrix,
     outcome_distribution,
     project_outcome_dense,
+    random_network,
     random_nogo_instance,
     run_cascade,
     strategy_from_dict,
     substitute,
     validate_strategy,
+    vacuum_inner_product,
     vacuum_norm_sq,
 )
 from fockcascade.measurement import product_coefficients
+from fockcascade.sampling import random_homogeneous_state
 from helpers import random_poly
 
 REG2 = ModeRegistry(("c", "d"))
@@ -217,10 +221,10 @@ class TestOutcomeDistribution:
 class TestCascade:
     def test_depth_one_equals_condition(self):
         state = hom_state()
-        tree = run_cascade(state, CascadeStage(measure="c"))
+        tree = run_cascade([state], CascadeStage(measure="c"))
         by_outcome = {node.history[-1]: node for node in tree.children}
         for n, weight in outcome_distribution(state, "c"):
-            assert abs(by_outcome[n].conditional_weight - weight) < 1e-12
+            assert abs(by_outcome[n].weights[0] - weight) < 1e-12
 
     def test_two_mode_single_photon_identity(self):
         state = 0.6 * CreationPolynomial.mode(REG2, "c") + 0.8 * CreationPolynomial.mode(REG2, "d")
@@ -231,10 +235,10 @@ class TestCascade:
                 1: CascadeStage(measure="d", branches={0: "first", 1: "both"}),
             },
         )
-        tree = run_cascade(state, stage)
+        tree = run_cascade([state], stage)
         leaf = {node.history: node for node in tree.leaves()}
-        assert abs(leaf[(1, 0)].probability - 0.36) < 1e-12
-        assert abs(leaf[(0, 1)].probability - 0.64) < 1e-12
+        assert abs(leaf[(1, 0)].probabilities[0] - 0.36) < 1e-12
+        assert abs(leaf[(0, 1)].probabilities[0] - 0.64) < 1e-12
         assert leaf[(1, 0)].label == "first"
         assert leaf[(0, 1)].label == "second"
 
@@ -245,8 +249,8 @@ class TestCascade:
             network=from_matrix(HADAMARD, REG2),
             branches={n: CascadeStage(measure="d") for n in range(3)},
         )
-        tree = run_cascade(pair, stage)
-        probs = {node.history: node.probability for node in tree.leaves()}
+        tree = run_cascade([pair], stage)
+        probs = {node.history: node.probabilities[0] for node in tree.leaves()}
         assert abs(probs[(2, 0)] - 0.5) < 1e-12
         assert abs(probs[(0, 2)] - 0.5) < 1e-12
         # the one-photon branch is kept but flagged as impossible
@@ -262,8 +266,8 @@ class TestCascade:
         )
         for _ in range(10):
             state = random_poly(rng, reg, 4)
-            tree = run_cascade(state, stage)
-            total = sum(node.probability for node in tree.leaves())
+            tree = run_cascade([state], stage)
+            total = sum(node.probabilities[0] for node in tree.leaves())
             assert abs(total - 1.0) < 1e-8
 
     def test_photon_bookkeeping_exact(self):
@@ -275,10 +279,10 @@ class TestCascade:
         )
         def walk(node):
             if not node.zero_weight:
-                assert sum(node.history) + node.state.degree == 3
+                assert sum(node.history) + node.states[0].degree == 3
             for child in node.children:
                 walk(child)
-        walk(run_cascade(state, stage))
+        walk(run_cascade([state], stage))
 
     def test_consumed_mode_rejected(self):
         state = CreationPolynomial.mode(REG2, "c") + CreationPolynomial.mode(REG2, "d")
@@ -286,12 +290,12 @@ class TestCascade:
             measure="c", branches={n: CascadeStage(measure="c") for n in range(2)}
         )
         with pytest.raises(StrategyError):
-            run_cascade(state, stage)
+            run_cascade([state], stage)
 
     def test_tree_serialization(self):
         state = hom_state()
         stage = CascadeStage(measure="c", branches={0: "low", 2: "high"})
-        tree = run_cascade(state, stage).to_dict()
+        tree = run_cascade([state], stage).to_dict()
         assert "children" in tree
         by_history = {tuple(c["history"]): c for c in tree["children"]}
         assert by_history[(0,)]["label"] == "low"
@@ -302,15 +306,80 @@ class TestCascade:
         import json
 
         json.dumps(tree)
-        assert by_history[(2,)]["weight"] == 0.5
+        assert by_history[(2,)]["weights"][0] == 0.5
 
     def test_tree_nodes_share_one_key_set(self):
         # Inner nodes and leaves carry the same keys; the state is left out.
         stage = CascadeStage(measure="c", branches={0: "low", 2: "high"})
-        tree = run_cascade(hom_state(), stage).to_dict()
-        keys = {"history", "weight", "probability", "zero_weight", "covered", "label", "children"}
+        tree = run_cascade([hom_state()], stage).to_dict()
+        keys = {"history", "weights", "probabilities", "zero_weight", "covered", "label", "children"}
         assert set(tree) == keys and all(set(c) == keys for c in tree["children"])
         assert tree["children"][0]["children"] == [] and tree["label"] is None
+
+
+def random_full_strategy(rng, registry, remaining):
+    """Measure every mode in a random order, with a branch for every photon
+    count that can remain; each stage mixes the surviving modes in a random
+    network or, half of the time, not at all.  Leaves carry their history."""
+
+    def stage(reg, remaining, history):
+        measure = reg.labels[rng.integers(reg.size)]
+        rest = reg.without(measure)
+        branches = {}
+        for n in range(remaining + 1):
+            path = history + (n,)
+            branches[n] = stage(rest, remaining - n, path) if rest.size else f"h{path}"
+        network = random_network(reg, rng) if rng.random() < 0.5 else None
+        return CascadeStage(measure=measure, network=network, branches=branches)
+
+    return stage(registry, remaining, ())
+
+
+def orthogonal_candidates(rng, registry, count):
+    """One- or two-photon states on random sets of modes, made orthogonal;
+    their outcome orders differ, and some branches are closed to some."""
+    states = []
+    while len(states) < count:
+        size = rng.integers(1, registry.size + 1)
+        labels = tuple(rng.choice(registry.labels, size=size, replace=False))
+        cand = random_homogeneous_state(rng, registry, labels, int(rng.integers(1, 3)))
+        for prev in states:
+            cand = cand - (vacuum_inner_product(prev, cand) / vacuum_norm_sq(prev)) * prev
+        if vacuum_norm_sq(cand) > 1e-6:
+            states.append(cand)
+    return states
+
+
+class TestOneTree:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_inputs_do_not_interact(self, seed):
+        # Each input's probability at a leaf of the joint tree is exactly the
+        # one it gets alone, where it arrives alone, and 0.0 elsewhere; the
+        # leaves it alone has and the joint tree lacks are zero-weight ones.
+        rng = np.random.default_rng(seed)
+        reg = ModeRegistry(("c", "d", "e"))
+        states = orthogonal_candidates(rng, reg, 3)
+        stage = random_full_strategy(rng, reg, 2)
+        joint = {leaf.history: leaf for leaf in run_cascade(states, stage).leaves()}
+        for k, state in enumerate(states):
+            alone = {leaf.history: leaf for leaf in run_cascade([state], stage).leaves()}
+            for history, leaf in joint.items():
+                want = alone[history].probabilities[0] if history in alone else 0.0
+                assert leaf.probabilities[k] == want, (k, history)
+            assert all(leaf.zero_weight for h, leaf in alone.items() if h not in joint)
+
+    def test_single_state_argument_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            run_cascade(hom_state(), CascadeStage(measure="c"))
+
+    def test_inputs_on_different_registries_rejected(self):
+        other = ModeRegistry(("c", "d"), photon_cap=5)
+        with pytest.raises(RegistryMismatchError):
+            run_cascade([hom_state(), hom_state(other)], CascadeStage(measure="c"))
+
+    def test_zero_input_rejected(self):
+        with pytest.raises(ZeroStateError):
+            run_cascade([hom_state(), CreationPolynomial.zero(REG2)], CascadeStage(measure="c"))
 
 
 class TestStrategyValidation:
