@@ -85,7 +85,10 @@ def _cmd_condition(args) -> int:
         raise SchemaError("no measured mode: pass --measure or set 'measure'")
     if measured not in instance.registry:
         raise SchemaError(f"measured mode {measured!r} not in instance modes")
-    net = instance.network(args.network) if instance.networks else identity(instance.registry)
+    if args.network is None and not instance.networks:
+        net = identity(instance.registry)
+    else:
+        net = instance.network(args.network)
     conditionals = []
     for psi in instance.states:
         total = substitute(instance.aux * psi, net)

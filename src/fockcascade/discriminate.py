@@ -23,9 +23,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import StrategyError
-from .measurement import CascadeStage, run_cascade, validate_strategy
-from .network import LinearNetwork
-from .nogo import transformed_expansions, verify_no_go, _check_aux, _check_states
+from .measurement import (
+    CascadeStage,
+    expand_by_mode,
+    product_coefficients,
+    run_cascade,
+    validate_strategy,
+)
+from .network import LinearNetwork, substitute
+from .nogo import system_expansions, verify_no_go, _check_aux, _check_states
 from .poly import CreationPolynomial, report_value, vacuum_inner_product, vacuum_norm_sq
 
 INPUT_ORTHOGONALITY_TOL = 1e-10
@@ -99,11 +105,12 @@ def stage_orthogonality(
     is coefficient N of ``sub(aux) * sub(psi_k)``, summed from the two
     expansions without forming the product.
     """
-    expansions = transformed_expansions(instance.aux, instance.states, net, measured)
-    max_outcome = expansions.aux.order + expansions.system_order
+    state_exps, n_s = system_expansions(instance.states, net, measured)
+    aux_exp = expand_by_mode(substitute(instance.aux, net), measured)
+    max_outcome = aux_exp.order + n_s
     totals = [
-        replace(expansions.aux, coefficients=coefficients)
-        for coefficients in expansions.products(0, max_outcome)
+        replace(aux_exp, coefficients=product_coefficients(aux_exp, e, 0, max_outcome))
+        for e in state_exps
     ]
     weights = [t.weights() for t in totals]
 

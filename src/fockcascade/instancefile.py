@@ -185,6 +185,10 @@ def parse_instance(
         networks["main"] = network_from_dict(data["network"], registry, unitarity_tol)
     if "networks" in data:
         _require(isinstance(data["networks"], Mapping), "'networks' must be an object")
+        _require(
+            "network" not in data or "main" not in data["networks"],
+            "'network' and 'networks.main' both define the main network; keep one",
+        )
         for name, raw in data["networks"].items():
             try:
                 networks[str(name)] = network_from_dict(raw, registry, unitarity_tol)

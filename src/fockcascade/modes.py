@@ -1,9 +1,9 @@
 """Mode bookkeeping for multimode bosonic systems.
 
 A :class:`ModeRegistry` fixes an ordered set of mode labels together with the
-numerical policy (photon cap, pruning threshold) shared by every polynomial
-built over it.  Registries are immutable; removing a measured mode produces a
-new, smaller registry.
+photon cap shared by every polynomial built over it; the pruning threshold,
+``poly.PRUNE_TOL``, is the same for every registry.  Registries are
+immutable; removing a measured mode produces a new, smaller registry.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from .errors import RegistryMismatchError
 
 DEFAULT_PHOTON_CAP = 20
-DEFAULT_PRUNE_TOL = 1e-12
 MAX_PHOTON_CAP = 170  # the largest n whose n! is a finite double
 
 
@@ -24,13 +23,11 @@ class ModeRegistry:
     The registry index of a label is its position in ``labels``; indices are
     dense in ``[0, size)``.  ``photon_cap`` bounds the per-mode occupation any
     polynomial over this registry may carry (at most MAX_PHOTON_CAP, so every
-    factorial it needs is a finite double), and ``prune_tol`` is the relative
-    coefficient threshold below which arithmetic drops a term.
+    factorial it needs is a finite double).
     """
 
     labels: tuple[str, ...]
     photon_cap: int = DEFAULT_PHOTON_CAP
-    prune_tol: float = DEFAULT_PRUNE_TOL
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -60,11 +57,11 @@ class ModeRegistry:
         return label in self._index
 
     def without(self, label: str) -> "ModeRegistry":
-        """Registry with one mode removed, order and policy preserved."""
+        """Registry with one mode removed, order and photon cap preserved."""
         if label not in self._index:
             raise KeyError(f"mode {label!r} not in registry {self.labels}")
         kept = tuple(lab for lab in self.labels if lab != label)
-        return ModeRegistry(kept, self.photon_cap, self.prune_tol)
+        return ModeRegistry(kept, self.photon_cap)
 
     def require_same(self, other: "ModeRegistry") -> None:
         """Raise RegistryMismatchError unless ``other`` is structurally equal."""

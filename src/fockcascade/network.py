@@ -14,7 +14,6 @@ and Haar-random sampling for tests.
 
 from __future__ import annotations
 
-import json
 from typing import Mapping
 
 import numpy as np
@@ -67,13 +66,10 @@ class LinearNetwork:
             ]
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
-
-def from_matrix(entries, registry: ModeRegistry, tol: float = CONSTRUCTION_TOL) -> LinearNetwork:
+def from_matrix(entries, registry: ModeRegistry) -> LinearNetwork:
     """Validated network from an explicit complex matrix."""
-    return LinearNetwork(entries, registry, tol)
+    return LinearNetwork(entries, registry)
 
 
 def identity(registry: ModeRegistry) -> LinearNetwork:
@@ -109,10 +105,10 @@ def phase_shifter(phi: float, i: str, registry: ModeRegistry) -> LinearNetwork:
     return LinearNetwork(m, registry)
 
 
-def compose(a: LinearNetwork, b: LinearNetwork, tol: float = COMPOSITION_TOL) -> LinearNetwork:
+def compose(a: LinearNetwork, b: LinearNetwork) -> LinearNetwork:
     """Network applying ``a`` first, then ``b`` (matrix product b a)."""
     a.registry.require_same(b.registry)
-    return LinearNetwork(b.matrix @ a.matrix, a.registry, tol)
+    return LinearNetwork(b.matrix @ a.matrix, a.registry, COMPOSITION_TOL)
 
 
 def haar_random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

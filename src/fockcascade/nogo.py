@@ -23,11 +23,12 @@ Two independent computational routes are implemented.  ``V`` comes from raw
 conditioning of the product state; ``M' U'`` comes from coefficient tables
 built by the reordering recursion below.  ``verify_no_go`` runs both and
 reports the residual, the triangular structure, and the determinant identity.
-It substitutes each state once; since substitution is a ring homomorphism,
-the product state ``sub(aux * psi)`` is ``sub(aux) * sub(psi)``, and V reads
-only its coefficients N = n_a .. n_a + n_s.  Each is the Cauchy sum
-``sum_a Qa(a) Qs(N - a)`` of the two expansions, so the product itself is
-never formed.
+It substitutes and expands the auxiliary state and each state once, the
+states through ``system_expansions`` as ``stage_orthogonality`` does.  Since
+substitution is a ring homomorphism, the product state ``sub(aux * psi)`` is
+``sub(aux) * sub(psi)``, and V reads only its coefficients
+N = n_a .. n_a + n_s.  Each is the Cauchy sum ``sum_a Qa(a) Qs(N - a)`` of
+the two expansions, so the product itself is never formed.
 
 Component conventions used throughout (all indices nonnegative):
 
@@ -320,45 +321,6 @@ def transfer_matrix(tables: OverlapTransfer) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TransformedExpansions:
-    """Every expansion the pair checks read, each computed once.
-
-    ``aux`` and ``states`` expand the substituted auxiliary and system
-    states; ``system_order`` is the set-level top power n_s.
-    """
-
-    aux: ModeExpansion
-    states: tuple[ModeExpansion, ...]
-    system_order: int
-
-    def products(self, lo: int, hi: int) -> list[tuple[CreationPolynomial, ...]]:
-        """Per state k, coefficients N = lo..hi of the product state
-        ``sub(aux) * sub(psi_k)``: the with-aux conditional states."""
-        return [product_coefficients(self.aux, e, lo, hi) for e in self.states]
-
-    def coefficient_overlaps(self, i: int, j: int) -> np.ndarray:
-        """U' for the pair (i, j)."""
-        n_s = self.system_order
-        return _top_overlaps(self.states[i], self.states[j], n_s, n_s + 1)
-
-
-def transformed_expansions(
-    aux: CreationPolynomial,
-    states: Sequence[CreationPolynomial],
-    net: LinearNetwork,
-    measured: str,
-) -> TransformedExpansions:
-    """Substitute the auxiliary and each system state once and expand each in
-    powers of the measured mode."""
-    state_exps = tuple(expand_by_mode(substitute(psi, net), measured) for psi in states)
-    return TransformedExpansions(
-        aux=expand_by_mode(substitute(aux, net), measured),
-        states=state_exps,
-        system_order=max(e.order for e in state_exps),
-    )
-
-
-@dataclass(frozen=True)
 class PairCheck:
     """Residual check for one state pair."""
 
@@ -422,11 +384,11 @@ def verify_no_go(
     """
     _check_states(states)
     _check_aux(aux, states)
-    expansions = transformed_expansions(aux, states, net, measured)
-    n_s = expansions.system_order
-    n_a = expansions.aux.order
+    state_exps, n_s = system_expansions(states, net, measured)
+    aux_exp = expand_by_mode(substitute(aux, net), measured)
+    n_a = aux_exp.order
 
-    tables = aux_transfer_tables(expansions.aux, n_s)
+    tables = aux_transfer_tables(aux_exp, n_s)
     m_prime = transfer_matrix(tables)
     d = tables.leading_aux_norm
 
@@ -442,19 +404,19 @@ def verify_no_go(
 
     norm_scale = [
         [math.sqrt(vacuum_norm_sq(exp.coefficient(n_s - p))) for p in range(n_s + 1)]
-        for exp in expansions.states
+        for exp in state_exps
     ]
 
     # Conditioning a product state on N photons keeps its coefficient N, so
     # V[s] overlaps the window coefficients at N = n_a + n_s - s.
-    windows = [w[::-1] for w in expansions.products(n_a, n_a + n_s)]
+    windows = [product_coefficients(aux_exp, e, n_a, n_a + n_s)[::-1] for e in state_exps]
     pairs = []
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
             v_vec = np.array(
                 [vacuum_inner_product(a, b) for a, b in zip(windows[i], windows[j])]
             )
-            u_prime = expansions.coefficient_overlaps(i, j)
+            u_prime = _top_overlaps(state_exps[i], state_exps[j], n_s, n_s + 1)
             predicted = m_prime @ u_prime
             residual = float(np.abs(v_vec - predicted).max())
             bound = RESIDUAL_TOL * max(1.0, float(np.abs(v_vec).max()))

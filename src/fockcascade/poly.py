@@ -17,7 +17,7 @@ rest of the package is built on:
   operators to a polynomial state, mode by mode.
 
 Coefficients are complex doubles.  After every arithmetic operation a term is
-dropped when its magnitude falls below ``prune_tol`` relative to the largest
+dropped when its magnitude falls below ``PRUNE_TOL`` relative to the largest
 coefficient in the result, which keeps floating cancellation residue from
 accumulating.
 
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
-import json
 import math
 import operator
 from typing import Iterator, Mapping, Sequence
@@ -45,6 +44,7 @@ from .modes import MAX_PHOTON_CAP, ModeRegistry
 
 Exponents = tuple[int, ...]
 
+PRUNE_TOL = 1e-12
 _FACTORIAL = [float(math.factorial(n)) for n in range(MAX_PHOTON_CAP + 1)]
 
 
@@ -101,7 +101,7 @@ class CreationPolynomial:
         cleaned: dict[Exponents, complex] = {}
         if terms:
             peak = max(abs(c) for c in terms.values())
-            cutoff = registry.prune_tol * peak
+            cutoff = PRUNE_TOL * peak
             for exps, coeff in terms.items():
                 exps = tuple(exps)
                 if len(exps) != size:
@@ -135,7 +135,7 @@ class CreationPolynomial:
         obj = cls.__new__(cls)
         obj.registry = registry
         if terms:
-            cutoff = registry.prune_tol * max(abs(c) for c in terms.values())
+            cutoff = PRUNE_TOL * max(abs(c) for c in terms.values())
             terms = {e: c for e, c in terms.items() if abs(c) > cutoff and c != 0}
         obj._terms = terms
         return obj
@@ -291,9 +291,6 @@ class CreationPolynomial:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, data: Mapping, registry: ModeRegistry | None = None) -> "CreationPolynomial":
         if registry is None:
@@ -307,10 +304,6 @@ class CreationPolynomial:
             key = tuple(int(e) for e in term["exp"])
             terms[key] = terms.get(key, 0.0) + complex(term["re"], term["im"])
         return cls(registry, terms)
-
-    @classmethod
-    def from_json(cls, text: str, registry: ModeRegistry | None = None) -> "CreationPolynomial":
-        return cls.from_dict(json.loads(text), registry)
 
     def __repr__(self) -> str:
         if not self._terms:

@@ -403,6 +403,14 @@ class TestMalformedInputs:
                 states=[{"terms": [{"exp": [1, 1], "re": 10**400, "im": 0.0}]}],
             ),
         ),
+        "unknown-network-name-without-networks": (
+            ["condition", "--outcome", "1", "--network", "nosuch"],
+            {"modes": ["m1", "m2"], "states": [_photon_terms((1, 1))], "measure": "m1"},
+        ),
+        "network-and-networks-main": (
+            ["simulate"],
+            _with(pair_instance(HADAMARD_JSON), networks={"main": {"elements": []}}),
+        ),
         "stage-network-with-both-shapes-and-an-unknown-field": (
             ["check"],
             {
@@ -783,3 +791,13 @@ class TestReadmeSynopsis:
         commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         assert set(re.findall(r"--[a-z-]+", flags)) == _long_options(parser)
         assert documented == {name: _long_options(p) for name, p in commands.choices.items()}
+
+
+class TestReadmeLayout:
+    def test_names_exactly_the_package_modules(self):
+        # The README "Layout" block lists every module of the package but
+        # __init__.py, and no module that is gone.
+        block = README.read_text(encoding="utf-8").split("## Layout", 1)[1].split("```")[1]
+        documented = set(re.findall(r"^\s+(\w+\.py)\s", block, re.M))
+        modules = {p.name for p in (README.parent / "src" / "fockcascade").glob("*.py")}
+        assert documented == modules - {"__init__.py"}

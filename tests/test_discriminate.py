@@ -21,6 +21,7 @@ from fockcascade import (
     stage_orthogonality,
     substitute,
     vacuum_inner_product,
+    verify_no_go,
 )
 from fockcascade import discriminate, nogo
 from fockcascade.instancefile import parse_instance
@@ -133,6 +134,26 @@ class TestStageOrthogonality:
             assert abs(r.weight_j - cond_j.weight) <= 1e-12
             want = vacuum_inner_product(cond_i.state, cond_j.state)
             assert abs(r.inner_product - want) <= 1e-10 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("n_states", [2, 3])
+    def test_reads_the_expansions_verify_no_go_reads(self, n_states):
+        # Both checks sum the same window products from the same expansions,
+        # so V[s] is the stage record at outcome n_a + n_s - s, bit for bit.
+        rng = np.random.default_rng(90 + n_states)
+        reg = ModeRegistry(("s0", "s1", "s2", "b0", "b1"))
+        states = orthogonal_states(rng, reg, ("s0", "s1", "s2"), 2, n_states)
+        aux = random_aux_state(rng, reg, ("b0", "b1"), 2)
+        net = random_network(reg, rng)
+        stage = stage_orthogonality(DiscriminationInstance(states=tuple(states), aux=aux), net, "s0")
+        report = verify_no_go(aux, states, net, "s0")
+        top = report.aux_order + report.system_order
+        assert stage.max_outcome == top
+        inner = {(r.i, r.j, r.outcome): r.inner_product for r in stage.records}
+        assert len(report.pairs) == n_states * (n_states - 1) // 2
+        for pair in report.pairs:
+            assert any(v != 0 for v in pair.with_aux)
+            for s, v in enumerate(pair.with_aux):
+                assert inner[(pair.i, pair.j, top - s)] == v
 
 
 def full_measurement_strategy(reg, total_photons=1, network=None, depth_labels=("m1", "m2")):

@@ -1,5 +1,6 @@
 """Creation-operator polynomial algebra."""
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -250,16 +251,13 @@ class TestStructure:
     def test_relative_pruning(self):
         p = CreationPolynomial(REG2, {(1, 0): 1.0, (0, 1): 1e-15})
         assert len(p) == 1
-        loose = ModeRegistry(("a1", "a2"), prune_tol=1e-20)
-        q = CreationPolynomial(loose, {(1, 0): 1.0, (0, 1): 1e-15})
-        assert len(q) == 2
 
 
 class TestSerialization:
     def test_round_trip_lossless(self):
         rng = np.random.default_rng(13)
         p = random_poly(rng, REG3, 3)
-        q = CreationPolynomial.from_json(p.to_json())
+        q = CreationPolynomial.from_dict(json.loads(json.dumps(p.to_dict())))
         assert dict(p.items()) == dict(q.items())
         assert q.registry.labels == REG3.labels
 
