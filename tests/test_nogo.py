@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockcascade import (
     CreationPolynomial,
+    DiscriminationInstance,
     ModeRegistry,
     aux_transfer_tables,
     beam_splitter,
@@ -16,11 +19,14 @@ from fockcascade import (
     contract_annihilators,
     expand_by_mode,
     from_matrix,
+    haar_random_unitary,
     identity,
     overlap_component,
     overlap_component_recursive,
+    random_network,
     random_nogo_instance,
     run_nogo_suite,
+    stage_orthogonality,
     substitute,
     system_expansions,
     transfer_matrix,
@@ -29,6 +35,7 @@ from fockcascade import (
 )
 from fockcascade import measurement, nogo
 from fockcascade.sampling import random_aux_state, random_homogeneous_state
+from helpers import orthogonal_states
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
@@ -530,6 +537,71 @@ class TestRouteEquivalence:
                     assert scale > 0.0
                     assert np.abs(np.array(got) - want).max() <= 1e-10 * scale
         assert superposed >= 3
+
+
+def twist_unmeasured_outputs(net, measured, rng):
+    """``net`` followed by a Haar-random unitary on every output but
+    ``measured``."""
+    registry = net.registry
+    rest = [j for j in range(registry.size) if j != registry.index(measured)]
+    w = np.eye(registry.size, dtype=complex)
+    w[np.ix_(rest, rest)] = haar_random_unitary(len(rest), rng)
+    return from_matrix(w @ net.matrix, registry)
+
+
+def pair_flags(report):
+    return [
+        (p.with_aux_zero, p.coefficient_zero, p.zero_equivalent, p.passed)
+        for p in report.pairs
+    ]
+
+
+class TestOutputInvariance:
+    """The checks read only the measured mode's coefficients through vacuum
+    overlaps and weights, so a unitary acting after the network on the
+    unmeasured outputs changes none of their numbers or flags."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_verify_no_go(self, seed):
+        rng = np.random.default_rng(seed)
+        inst = random_nogo_instance(rng, max_system_modes=3, n_states=2 + seed % 2)
+        twisted = twist_unmeasured_outputs(inst.network, inst.measured, rng)
+        want = verify_no_go(inst.aux, inst.states, inst.network, inst.measured)
+        got = verify_no_go(inst.aux, inst.states, twisted, inst.measured)
+        flags = ("determinant_ok", "diagonal_ok", "triangular_ok", "passed")
+        assert [getattr(got, f) for f in flags] == [getattr(want, f) for f in flags]
+        assert pair_flags(got) == pair_flags(want)
+        assert (got.aux_order, got.system_order) == (want.aux_order, want.system_order)
+        m_want, m_got = np.array(want.transfer), np.array(got.transfer)
+        assert np.abs(m_got - m_want).max() <= 1e-12 * np.abs(m_want).max()
+        for p, q in zip(got.pairs, want.pairs):
+            scale = np.abs(q.with_aux).max()
+            for field in ("with_aux", "coefficient", "predicted"):
+                diff = np.abs(np.array(getattr(p, field)) - np.array(getattr(q, field)))
+                assert diff.max() <= 1e-12 * scale, field
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_stage_orthogonality(self, seed):
+        rng = np.random.default_rng(seed)
+        registry = ModeRegistry(("s0", "s1", "s2", "b0", "b1"))
+        states = orthogonal_states(rng, registry, ("s0", "s1", "s2"), 2, 2 + seed % 2)
+        aux = random_aux_state(rng, registry, ("b0", "b1"), int(rng.integers(0, 3)))
+        instance = DiscriminationInstance(states=tuple(states), aux=aux)
+        net = random_network(registry, rng)
+        measured = registry.labels[int(rng.integers(0, registry.size))]
+        twisted = twist_unmeasured_outputs(net, measured, rng)
+        want = stage_orthogonality(instance, net, measured)
+        got = stage_orthogonality(instance, twisted, measured)
+        assert (got.max_outcome, got.verdict) == (want.max_outcome, want.verdict)
+        assert [
+            (r.i, r.j, r.outcome, r.orthogonal, r.vacuous, r.distinguished)
+            for r in got.records
+        ] == [
+            (r.i, r.j, r.outcome, r.orthogonal, r.vacuous, r.distinguished)
+            for r in want.records
+        ]
 
 
 class TestWorkCount:
