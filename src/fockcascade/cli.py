@@ -59,11 +59,19 @@ def _emit(report: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _network(instance, name: str | None):
+    """The named network, or the instance's own; the identity only when
+    neither a name nor any network is given."""
+    if name is None and not instance.networks:
+        return identity(instance.registry)
+    return instance.network(name)
+
+
 def _cmd_simulate(args) -> int:
     instance = load_instance(
         args.instance, photon_cap=args.photon_cap, unitarity_tol=args.tolerance
     )
-    net = instance.network(args.network)
+    net = _network(instance, args.network)
     outputs = [substitute(instance.aux * psi, net) for psi in instance.states]
     _emit(
         {
@@ -85,10 +93,7 @@ def _cmd_condition(args) -> int:
         raise SchemaError("no measured mode: pass --measure or set 'measure'")
     if measured not in instance.registry:
         raise SchemaError(f"measured mode {measured!r} not in instance modes")
-    if args.network is None and not instance.networks:
-        net = identity(instance.registry)
-    else:
-        net = instance.network(args.network)
+    net = _network(instance, args.network)
     conditionals = []
     for psi in instance.states:
         total = substitute(instance.aux * psi, net)

@@ -31,7 +31,7 @@ from .measurement import (
     validate_strategy,
 )
 from .network import LinearNetwork, substitute
-from .nogo import system_expansions, verify_no_go, _check_aux, _check_states
+from .nogo import reduced_network, system_expansions, verify_no_go, _check_aux, _check_states
 from .poly import CreationPolynomial, report_value, vacuum_inner_product, vacuum_norm_sq
 
 INPUT_ORTHOGONALITY_TOL = 1e-10
@@ -103,8 +103,11 @@ def stage_orthogonality(
     when at least one conditional weight is vacuously small; both conditions
     are reported separately.  The conditional state of input k at outcome N
     is coefficient N of ``sub(aux) * sub(psi_k)``, summed from the two
-    expansions without forming the product.
+    expansions without forming the product.  Both are substituted through
+    ``nogo.reduced_network``, which leaves every weight and overlap of the
+    measured mode as it is.
     """
+    net = reduced_network(instance.aux, instance.states, net, measured)
     state_exps, n_s = system_expansions(instance.states, net, measured)
     aux_exp = expand_by_mode(substitute(instance.aux, net), measured)
     max_outcome = aux_exp.order + n_s

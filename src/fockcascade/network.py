@@ -14,7 +14,7 @@ and Haar-random sampling for tests.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,10 +32,11 @@ class LinearNetwork:
 
     ``images[i]`` is the linear image of input mode i as the
     ``(j, U[j, i])`` pairs with a nonzero entry, built once for
-    :func:`substitute`.
+    :func:`substitute`.  ``deviation`` is max |U^dag U - I|, measured at
+    construction.
     """
 
-    __slots__ = ("matrix", "registry", "images")
+    __slots__ = ("matrix", "registry", "images", "deviation")
 
     def __init__(self, matrix, registry: ModeRegistry, tol: float = CONSTRUCTION_TOL):
         m = np.asarray(matrix, dtype=complex)
@@ -51,6 +52,7 @@ class LinearNetwork:
         m.setflags(write=False)
         self.matrix = m
         self.registry = registry
+        self.deviation = deviation
         self.images = tuple(
             tuple((j, complex(m[j, i])) for j in range(n) if m[j, i] != 0)
             for i in range(n)
@@ -125,6 +127,38 @@ def haar_random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_network(registry: ModeRegistry, rng: np.random.Generator) -> LinearNetwork:
     return LinearNetwork(haar_random_unitary(registry.size, rng), registry)
+
+
+def measured_row_network(
+    net: LinearNetwork, measured: str, first_columns: Sequence[str]
+) -> LinearNetwork:
+    """``net`` followed by a unitary on every output but ``measured``, chosen
+    so that the early input columns reach few outputs.
+
+    Row c of ``measured`` is copied unchanged.  The other rows become the R
+    of a QR factorization of ``U[rest][:, order]``, where ``order`` lists the
+    input modes ``first_columns`` first and the others after them in
+    registry order.  R is upper-trapezoidal with exact zeros below the
+    diagonal, so input column k of the order reaches c and at most k + 1
+    other outputs, and the images that :func:`substitute` multiplies by
+    shrink to match.  The labels of the other outputs no longer name the
+    physical modes, so the result serves only quantities of mode c that a
+    unitary on the other outputs leaves unchanged: outcome weights and
+    vacuum overlaps of the coefficients of c.  It is validated against the
+    input's own deviation from unitarity plus CONSTRUCTION_TOL, since W U
+    inherits U's.
+    """
+    registry = net.registry
+    c = registry.index(measured)
+    first = [registry.index(label) for label in first_columns]
+    order = first + [k for k in range(registry.size) if k not in first]
+    rest = [j for j in range(registry.size) if j != c]
+    u = net.matrix
+    r = np.linalg.qr(u[rest][:, order], mode="r")
+    reduced = np.empty_like(u)
+    reduced[c] = u[c]
+    reduced[rest] = r[:, np.argsort(order)]
+    return LinearNetwork(reduced, registry, CONSTRUCTION_TOL + net.deviation)
 
 
 def substitute(state: CreationPolynomial, net: LinearNetwork) -> CreationPolynomial:

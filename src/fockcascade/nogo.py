@@ -30,6 +30,21 @@ substitution is a ring homomorphism, the product state ``sub(aux * psi)`` is
 N = n_a .. n_a + n_s.  Each is the Cauchy sum ``sum_a Qa(a) Qs(N - a)`` of
 the two expansions, so the product itself is never formed.
 
+Every number both checks read is an outcome weight or a vacuum overlap of
+coefficients of the measured mode c, and none of them changes when a unitary
+W acts after the network on the other outputs.  So only the measured row
+U[c, :] matters, and ``verify_no_go`` and ``stage_orthogonality`` substitute
+through :func:`reduced_network`: row c unchanged, the other rows the R of a
+QR factorization of the unmeasured rows, with the system or the aux columns
+first, whichever the term-count estimate in its docstring finds cheaper.
+Input column k of that order reaches c and at most k + 1 other outputs, so a
+state on the first m columns lands on m + 1 outputs instead of all n.  The
+reduction is deliberately not used where output states are shown or acted on
+later: ``simulate``, ``condition``, the cascade stages, and the reference
+routes ``conditional_overlap_vector``, ``coefficient_overlap_vector`` and
+the dense oracle, which keep the full network so that the tests compare the
+reduced pipeline with the unreduced one.
+
 Component conventions used throughout (all indices nonnegative):
 
     direct:     C[s, n, m] = <0| Qs_i(ns-n)^dag Qa(na-s+n)^dag
@@ -60,7 +75,7 @@ from typing import Sequence
 import numpy as np
 
 from .measurement import ModeExpansion, condition, expand_by_mode, product_coefficients
-from .network import LinearNetwork, substitute
+from .network import LinearNetwork, measured_row_network, substitute
 from .poly import (
     CreationPolynomial,
     _ordering_weight,
@@ -116,6 +131,46 @@ def system_expansions(
     """
     expansions = [expand_by_mode(substitute(psi, net), measured) for psi in states]
     return expansions, max(e.order for e in expansions)
+
+
+def reduced_network(
+    aux: CreationPolynomial,
+    states: Sequence[CreationPolynomial],
+    net: LinearNetwork,
+    measured: str,
+) -> LinearNetwork:
+    """The network ``verify_no_go`` and ``stage_orthogonality`` substitute
+    through: :func:`measured_row_network` with the cheaper column order.
+
+    Two orders compete: the modes of the system states first, then the aux
+    modes, or the aux modes first, then the system modes.  The first k
+    columns of an order reach ``min(k, n - 1) + 1`` of the n outputs, so a
+    block reaches as many as the columns up to its end do.  Each order is
+    costed at the output terms of the K + 1 substitutions: C(reach + d - 1,
+    d) monomials per degree d, K times at the states' L photons and once per
+    degree the aux carries.  The order with the lower total wins; on a tie
+    the system modes go first.
+    """
+    labels = net.registry.labels
+    system = set().union(*(psi.support() for psi in states))
+    aux_modes = aux.support()
+    system_cols = [lab for lab in labels if lab in system]
+    aux_cols = [lab for lab in labels if lab in aux_modes]
+    photons = states[0].degree
+    aux_degrees = {sum(e) for e, _ in aux.items()}
+
+    def reach(columns: int) -> int:
+        return min(columns, len(labels) - 1) + 1
+
+    def cost(system_reach: int, aux_reach: int) -> int:
+        return len(states) * math.comb(system_reach + photons - 1, photons) + sum(
+            math.comb(aux_reach + d - 1, d) for d in aux_degrees
+        )
+
+    both = reach(len(system_cols) + len(aux_cols))
+    if cost(both, reach(len(aux_cols))) < cost(reach(len(system_cols)), both):
+        return measured_row_network(net, measured, aux_cols + system_cols)
+    return measured_row_network(net, measured, system_cols + aux_cols)
 
 
 # -- overlap vectors (conditioning route) ------------------------------------
@@ -384,6 +439,7 @@ def verify_no_go(
     """
     _check_states(states)
     _check_aux(aux, states)
+    net = reduced_network(aux, states, net, measured)
     state_exps, n_s = system_expansions(states, net, measured)
     aux_exp = expand_by_mode(substitute(aux, net), measured)
     n_a = aux_exp.order

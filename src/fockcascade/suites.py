@@ -49,12 +49,21 @@ class NoGoSuiteResult:
     elapsed_seconds: float = field(metadata={"json": None})
 
     def summary(self) -> str:
+        """One line: the verdict, the worst residual with the instance that
+        has it, the worst determinant deviation, and the indices of the
+        failing instances (the first ten)."""
         status = "PASS" if self.all_passed else "FAIL"
-        return (
-            f"{status}: {self.count} instances, max residual "
-            f"{self.max_residual:.3e}, max determinant deviation "
-            f"{self.max_det_deviation:.3e} ({self.elapsed_seconds:.1f}s)"
+        worst = max(self.reports, key=lambda r: r.max_residual)
+        failing = [k for k, r in enumerate(self.reports) if not r.passed]
+        text = (
+            f"{status}: {self.count} instances ({self.elapsed_seconds:.1f}s); max "
+            f"residual {self.max_residual:.3e} in {worst.description}; max "
+            f"determinant deviation {self.max_det_deviation:.3e}"
         )
+        if failing:
+            more = f" and {len(failing) - 10} more" if len(failing) > 10 else ""
+            text += f"; failing instances {failing[:10]}{more}"
+        return text
 
     def to_dict(self) -> dict:
         return {"schema_version": "2", "suite": "verify-nogo", **report_value(self)}

@@ -57,6 +57,19 @@ class TestSimulate:
             {"modes": ["m1", "m2"], "terms": [{"exp": [1, 1], "re": 1.0, "im": 0.0}]}
         ]
 
+    def test_without_any_network_echoes_the_state(self, tmp_path, capsys):
+        payload = pair_instance(IDENTITY_JSON)
+        del payload["network"]
+        path = write(tmp_path, "inst.json", payload)
+        assert main(["simulate", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["output_states"] == [
+            {"modes": ["m1", "m2"], "terms": [{"exp": [1, 1], "re": 1.0, "im": 0.0}]}
+        ]
+        assert main(["simulate", path, "--network", "nosuch"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: unknown network 'nosuch' (available: [])\n", err
+
     def test_interference_golden(self, tmp_path, capsys):
         path = write(tmp_path, "inst.json", pair_instance(HADAMARD_JSON))
         assert main(["simulate", path]) == 0
@@ -207,6 +220,29 @@ class TestCheck:
         assert not any(a != b and b[: len(a)] == a for a in histories for b in histories)
 
 
+    def test_product_over_the_photon_cap_exits_4(self, tmp_path, capsys):
+        # Each state and the aux hold two photons, under the cap of 3; the
+        # root stage's product would put four on the measured mode.
+        payload = {
+            "modes": ["s0", "s1", "b0"],
+            "states": [_photon_terms((2, 0, 0)), _photon_terms((0, 2, 0))],
+            "aux": _photon_terms((0, 0, 2)),
+            "strategy": {
+                "network": {"elements": [
+                    {"bs": {"theta": 0.7, "phi": 0.1, "i": "s0", "j": "b0"}},
+                    {"bs": {"theta": 0.4, "phi": 0.3, "i": "s1", "j": "b0"}},
+                    {"bs": {"theta": 0.9, "phi": 0.0, "i": "s0", "j": "s1"}},
+                ]},
+                "measure": "s0",
+                "branches": {},
+            },
+        }
+        path = write(tmp_path, "inst.json", payload)
+        assert main(["--photon-cap", "3", "check", path]) == 4
+        err = capsys.readouterr().err
+        assert err == "error: occupation 4 exceeds photon cap 3\n", err
+
+
 class TestVerifyNogo:
     def test_small_batch_passes(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -217,7 +253,10 @@ class TestVerifyNogo:
         assert "no_aux" not in report["reports"][0]["pairs"][0]
         assert report["all_passed"] is True
         assert len(report["reports"]) == 5
-        assert "PASS" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("PASS") and "failing" not in err
+        worst = max(report["reports"], key=lambda r: max(p["residual"] for p in r["pairs"]))
+        assert f"in {worst['description']};" in err
 
     def test_deterministic_bytes(self, tmp_path):
         out1 = tmp_path / "a.json"
@@ -236,11 +275,13 @@ class TestVerifyNogo:
 
         monkeypatch.setattr(nogo, "transfer_matrix", corrupted)
         code = main(
-            ["verify-nogo", "--count", "3", "--seed", "3",
+            ["verify-nogo", "--count", "12", "--seed", "3",
              "--out", str(tmp_path / "r.json")]
         )
         assert code == 1
-        assert "FAIL" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        tail = f"; failing instances {list(range(10))} and 2 more\n"
+        assert err.startswith("FAIL") and err.endswith(tail), err
 
     def test_no_aux_configuration(self, tmp_path, capsys):
         # With the auxiliary photon budget forced to zero the transfer matrix

@@ -13,6 +13,7 @@ from fockcascade import (
     UnitarityViolation,
     beam_splitter,
     compose,
+    expand_by_mode,
     from_matrix,
     haar_random_unitary,
     identity,
@@ -20,6 +21,7 @@ from fockcascade import (
     phase_shifter,
     random_network,
     substitute,
+    vacuum_inner_product,
     vacuum_norm_sq,
 )
 from fockcascade import network
@@ -267,6 +269,72 @@ class TestHomomorphism:
             a1 * a1
         # Total degree 24 over the cap, but no single mode exceeds it.
         assert (a1 * CreationPolynomial.mode(reg, "a2", 12)).degree == 24
+
+
+def _zero_entry_row():
+    # Row m1 of a splitter on m1, m2 has a zero in column m3.
+    return beam_splitter(0.3, 0.2, "m1", "m2", REG3), "m1", ["m3"]
+
+
+def _haar5():
+    rng = np.random.default_rng(15)
+    reg = ModeRegistry(("a", "b", "c", "d", "e"))
+    return random_network(reg, rng), "c", ["e", "a"]
+
+
+class TestMeasuredRowNetwork:
+    """The measured row is kept; the others are the R of a QR of the rest."""
+
+    CASES = {
+        "one-mode": lambda: (identity(ModeRegistry(("m1",))), "m1", []),
+        "two-mode": lambda: (from_matrix(HADAMARD, REG2), "m2", ["m2"]),
+        "identity": lambda: (identity(REG3), "m2", ["m3", "m1"]),
+        "zero-entry-row": _zero_entry_row,
+        "haar": _haar5,
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_structure(self, case):
+        net, measured, first = self.CASES[case]()
+        reduced = network.measured_row_network(net, measured, first)
+        m = reduced.matrix
+        c = net.registry.index(measured)
+        assert np.array_equal(m[c], net.matrix[c])
+        assert np.abs(m.conj().T @ m - np.eye(len(m))).max() <= 1e-12
+        order = [net.registry.index(x) for x in first]
+        order += [k for k in range(len(m)) if k not in order]
+        for k, column in enumerate(order):
+            reached = [j for j in range(len(m)) if j != c and m[j, column] != 0]
+            assert len(reached) <= k + 1, (k, reached)
+
+    def test_identity_stays_a_signed_permutation(self):
+        # The QR of a permutation has entries 0 and +-1 only.
+        m = network.measured_row_network(identity(REG3), "m2", ["m3", "m1"]).matrix
+        assert np.abs(np.abs(m) - np.round(np.abs(m))).max() <= 1e-15
+        assert (np.count_nonzero(np.abs(m) > 0.5, axis=0) == 1).all()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_measured_mode_reads_the_same(self, case):
+        # Outcome weights and vacuum overlaps of the measured mode's
+        # coefficients are unchanged.
+        net, measured, first = self.CASES[case]()
+        reduced = network.measured_row_network(net, measured, first)
+        rng = np.random.default_rng(16)
+        p, q = (random_poly(rng, net.registry, 2) for _ in range(2))
+        full = [expand_by_mode(substitute(x, net), measured) for x in (p, q)]
+        less = [expand_by_mode(substitute(x, reduced), measured) for x in (p, q)]
+        assert np.allclose(full[0].weights(), less[0].weights(), rtol=0, atol=1e-12)
+        for n in range(full[0].order + 1):
+            want = vacuum_inner_product(full[0].coefficient(n), full[1].coefficient(n))
+            got = vacuum_inner_product(less[0].coefficient(n), less[1].coefficient(n))
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_inherits_a_loose_tolerance(self):
+        # A network accepted at a loose tolerance reduces without raising.
+        u = haar_random_unitary(3, np.random.default_rng(17)) * (1 + 1e-8)
+        net = network.LinearNetwork(u, REG3, tol=1e-6)
+        reduced = network.measured_row_network(net, "m1", ["m2"])
+        assert reduced.deviation <= net.deviation + 1e-12
 
 
 class TestJson:

@@ -11,6 +11,7 @@ from fockcascade import (
     CreationPolynomial,
     DiscriminationInstance,
     ModeRegistry,
+    PhotonCapError,
     aux_transfer_tables,
     beam_splitter,
     coefficient_overlap_vector,
@@ -494,6 +495,16 @@ class TestVerifyNoGo:
         with pytest.raises(ValueError):
             verify_no_go(psi, [psi, psi.scale(2.0)], net, "s0")  # shared support
 
+    def test_product_over_the_photon_cap_raises(self):
+        # Two photons in each state and in the aux are under a cap of 3; the
+        # product puts four on the measured output.
+        reg = ModeRegistry(("s0", "s1", "b0"), photon_cap=3)
+        states = [CreationPolynomial.mode(reg, "s0", 2), CreationPolynomial.mode(reg, "s1", 2)]
+        aux = CreationPolynomial.mode(reg, "b0", 2)
+        net = random_network(reg, np.random.default_rng(59))
+        with pytest.raises(PhotonCapError):
+            verify_no_go(aux, states, net, "s0")
+
     def test_report_round_trips_to_json(self):
         import json
 
@@ -666,8 +677,31 @@ class TestWorkCount:
         report = verify_no_go(aux, inst.states, inst.network, inst.measured)
         monkeypatch.undo()
         assert report.passed
-        terms = sum(len(substitute(psi, inst.network)) for psi in inst.states)
+        net = nogo.reduced_network(aux, inst.states, inst.network, inst.measured)
+        terms = sum(len(substitute(psi, net)) for psi in inst.states)
         assert sum(counts) == terms
+
+    def test_reduced_network_emits_fewer_terms(self, monkeypatch):
+        # Three system modes x four photons, aux on two modes: through the
+        # full network every input column reaches all six outputs.
+        rng = np.random.default_rng(64)
+        registry = ModeRegistry(("s0", "s1", "s2", "b0", "b1"))
+        states = [random_homogeneous_state(rng, registry, ("s0", "s1", "s2"), 4) for _ in range(3)]
+        aux = random_homogeneous_state(rng, registry, ("b0", "b1"), 2)
+        net = random_network(registry, rng)
+        emitted = []
+        original = nogo.substitute
+
+        def counted(state, network):
+            out = original(state, network)
+            emitted.append(len(out))
+            return out
+
+        monkeypatch.setattr(nogo, "substitute", counted)
+        assert verify_no_go(aux, states, net, "s1").passed
+        full = sum(len(original(p, net)) for p in (*states, aux))
+        assert len(emitted) == 4
+        assert sum(emitted) < full
 
 
 class TestDeterminant:
