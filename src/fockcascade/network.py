@@ -132,20 +132,16 @@ def random_network(registry: ModeRegistry, rng: np.random.Generator) -> LinearNe
 def measured_row_network(
     net: LinearNetwork, measured: str, first_columns: Sequence[str]
 ) -> LinearNetwork:
-    """``net`` followed by a unitary on every output but ``measured``, chosen
-    so that the early input columns reach few outputs.
+    """``net`` followed by a unitary on every output but ``measured``.
 
-    Row c of ``measured`` is copied unchanged.  The other rows become the R
-    of a QR factorization of ``U[rest][:, order]``, where ``order`` lists the
-    input modes ``first_columns`` first and the others after them in
-    registry order.  R is upper-trapezoidal with exact zeros below the
-    diagonal, so input column k of the order reaches c and at most k + 1
-    other outputs, and the images that :func:`substitute` multiplies by
-    shrink to match.  The labels of the other outputs no longer name the
-    physical modes, so the result serves only quantities of mode c that a
-    unitary on the other outputs leaves unchanged: outcome weights and
-    vacuum overlaps of the coefficients of c.  It is validated against the
-    input's own deviation from unitarity plus CONSTRUCTION_TOL, since W U
+    Row c of ``measured`` is kept.  The other rows become the R of a QR
+    factorization of ``U[rest][:, order]``, with the input modes
+    ``first_columns`` first and the others after them in registry order.  R
+    has exact zeros below the diagonal, so input column k of the order
+    reaches c and at most k + 1 other outputs.  The other output labels no
+    longer name physical modes: the result serves only outcome weights of
+    mode c and vacuum overlaps of its coefficients.  It is validated against
+    the input's deviation from unitarity plus CONSTRUCTION_TOL, since W U
     inherits U's.
     """
     registry = net.registry
