@@ -271,17 +271,6 @@ class TestHomomorphism:
         assert (a1 * CreationPolynomial.mode(reg, "a2", 12)).degree == 24
 
 
-def _zero_entry_row():
-    # Row m1 of a splitter on m1, m2 has a zero in column m3.
-    return beam_splitter(0.3, 0.2, "m1", "m2", REG3), "m1", ["m3"]
-
-
-def _haar5():
-    rng = np.random.default_rng(15)
-    reg = ModeRegistry(("a", "b", "c", "d", "e"))
-    return random_network(reg, rng), "c", ["e", "a"]
-
-
 class TestMeasuredRowNetwork:
     """The measured row is kept; the others are the R of a QR of the rest."""
 
@@ -289,8 +278,13 @@ class TestMeasuredRowNetwork:
         "one-mode": lambda: (identity(ModeRegistry(("m1",))), "m1", []),
         "two-mode": lambda: (from_matrix(HADAMARD, REG2), "m2", ["m2"]),
         "identity": lambda: (identity(REG3), "m2", ["m3", "m1"]),
-        "zero-entry-row": _zero_entry_row,
-        "haar": _haar5,
+        # Row m1 of a splitter on m1, m2 has a zero in column m3.
+        "zero-entry-row": lambda: (beam_splitter(0.3, 0.2, "m1", "m2", REG3), "m1", ["m3"]),
+        "haar": lambda: (
+            random_network(ModeRegistry(tuple("abcde")), np.random.default_rng(15)),
+            "c",
+            ["e", "a"],
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
