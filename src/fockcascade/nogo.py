@@ -38,9 +38,11 @@ through :func:`reduced_network`: row c unchanged, the other rows the R of a
 QR factorization of the unmeasured rows, with the system or the aux columns
 first, whichever the term-count estimate in its docstring finds cheaper.
 Input column k of that order reaches c and at most k + 1 other outputs, so a
-state on the first m columns lands on m + 1 outputs instead of all n.  The
-reduction is deliberately not used where output states are shown or acted on
-later: ``simulate``, ``condition``, the cascade stages, and the reference
+state on the first m columns lands on m + 1 outputs instead of all n.  When
+the aux and state degrees add up past the photon cap, the full network is
+kept, so that the cap is checked on physical outputs.  The reduction is
+deliberately not used where output states are shown or acted on later:
+``simulate``, ``condition``, the cascade stages, and the reference
 routes ``conditional_overlap_vector``, ``coefficient_overlap_vector`` and
 the dense oracle, which keep the full network so that the tests compare the
 reduced pipeline with the unreduced one.
@@ -149,8 +151,19 @@ def reduced_network(
     costed at the output terms of the K + 1 substitutions: C(reach + d - 1,
     d) monomials per degree d, K times at the states' L photons and once per
     degree the aux carries.  The order with the lower total wins; on a tie
-    the system modes go first.
+    the system modes go first.  On nogo-max slot (2, 4, 2, 3, 3, superposed)
+    the aux-first order emits 91 terms per item against 150 and runs about
+    20% faster; elsewhere the two orders cost about the same.
+
+    The rows of R name no physical output, so the photon cap is not
+    checked on them: when the aux and state degrees add up past the cap,
+    some output of the product might exceed it, and ``net`` itself is
+    returned, so that ``PhotonCapError`` is raised exactly as through the
+    full network.  Up to that sum no output can exceed the cap on either
+    network.
     """
+    if aux.degree + max(psi.degree for psi in states) > net.registry.photon_cap:
+        return net
     labels = net.registry.labels
     system = set().union(*(psi.support() for psi in states))
     aux_modes = aux.support()

@@ -517,6 +517,70 @@ class TestVerifyNoGo:
         assert len(parsed["transfer_matrix"]) == report.system_order + 1
 
 
+def cap_below_the_product():
+    """Modes a, b, d, c with cap 2, states a^2 - b^2 and (a - b)^2, aux d.
+
+    Row c is (r, r, ., .) with r^2 = 1/3; a and b go to outputs a and b as
+    (p, q) and (-p, q) with p^2 = 1/2, q^2 = 1/6, and d has no output-a part.
+    On every physical output the product stays within the cap, but row 0 of
+    the QR rows carries the states' e0^2 and the aux's e0 together.
+    """
+    r, p, q = math.sqrt(1 / 3), math.sqrt(1 / 2), math.sqrt(1 / 6)
+    w = np.array([0, math.sqrt(2) * r, 0, -math.sqrt(2) * q])
+    z = np.array([0, 0, 1.0, 0])
+    theta = 0.6
+    columns = [
+        np.array([p, q, 0, r]),
+        np.array([-p, q, 0, r]),
+        math.cos(theta) * w + math.sin(theta) * z,
+        -math.sin(theta) * w + math.cos(theta) * z,
+    ]
+    reg = ModeRegistry(("a", "b", "d", "c"), photon_cap=2)
+    a, b, d = (CreationPolynomial.mode(reg, label, 1) for label in "abd")
+    net = from_matrix(np.column_stack(columns), reg)
+    return d, [a * a - b * b, (a - b) * (a - b)], net, "c"
+
+
+def cap_over_the_product():
+    """Modes s0, s1, b0, m with cap 3, states s0^2 and s0 s1, aux b0^2.
+
+    U[m, b0] = 0, so the QR rows keep b0 off s0's row, while on the physical
+    outputs s0^2 and b0^2 meet and put four photons on one of them.
+    """
+    u = haar_random_unitary(4, np.random.default_rng(5))
+    # A rotation of columns s1 and b0 zeroes U[m, b0].
+    alpha, beta = u[3, 1], -u[3, 2]
+    norm = math.hypot(abs(alpha), abs(beta))
+    alpha, beta = alpha / norm, beta / norm
+    s1_col, b0_col = u[:, 1].copy(), u[:, 2].copy()
+    u[:, 2] = alpha * b0_col + beta * s1_col
+    u[:, 1] = -np.conj(beta) * b0_col + np.conj(alpha) * s1_col
+    u[3, 2] = 0.0
+    reg = ModeRegistry(("s0", "s1", "b0", "m"), photon_cap=3)
+    s0, s1, b0 = (CreationPolynomial.mode(reg, label, 1) for label in ("s0", "s1", "b0"))
+    return b0 * b0, [s0 * s0, s0 * s1], from_matrix(u, reg), "m"
+
+
+class TestPhotonCapOnPhysicalOutputs:
+    # The cap is a bound on physical output modes, which the QR rows of the
+    # reduced network are not; both checks must raise exactly when the full
+    # network does.
+    def test_product_within_the_cap_on_every_output_passes(self):
+        aux, states, net, measured = cap_below_the_product()
+        assert verify_no_go(aux, states, net, measured).passed
+        instance = DiscriminationInstance(states=tuple(states), aux=aux)
+        stage_orthogonality(instance, net, measured)
+
+    def test_product_over_the_cap_on_an_output_raises(self):
+        aux, states, net, measured = cap_over_the_product()
+        assert net.matrix[3, 2] == 0
+        with pytest.raises(PhotonCapError):
+            verify_no_go(aux, states, net, measured)
+        instance = DiscriminationInstance(states=tuple(states), aux=aux)
+        with pytest.raises(PhotonCapError):
+            stage_orthogonality(instance, net, measured)
+
+
 class TestRouteEquivalence:
     def test_pair_vectors_match_product_substitution_route(self):
         # verify_no_go reads V from sub(aux)*sub(psi) and U' from the same
@@ -657,13 +721,14 @@ class TestWorkCount:
         inst = random_nogo_instance(
             np.random.default_rng(62), max_aux_photons=3, force_aux_photons=True
         )
-        aux_out = substitute(inst.aux, inst.network)
+        net = nogo.reduced_network(inst.aux, inst.states, inst.network, inst.measured)
+        aux_out = substitute(inst.aux, net)
         aux_exp = expand_by_mode(aux_out, inst.measured)
         assert aux_exp.order > 0
         counts = self.count_window_pairs(monkeypatch)
         report = verify_no_go(inst.aux, inst.states, inst.network, inst.measured)
         assert report.passed
-        full = sum(len(aux_out) * len(substitute(psi, inst.network)) for psi in inst.states)
+        full = sum(len(aux_out) * len(substitute(psi, net)) for psi in inst.states)
         assert 0 < sum(counts) < full
 
     def test_constant_aux_only_scales(self, monkeypatch):
