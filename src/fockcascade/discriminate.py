@@ -181,11 +181,11 @@ def cascade_discrimination(instance: DiscriminationInstance) -> CascadeReport:
     """
     if instance.strategy is None:
         raise StrategyError("instance has no strategy to check")
-    totals = [instance.aux * psi for psi in instance.states]
-    validate_strategy(instance.strategy, totals[0].registry, max(t.degree for t in totals))
+    aux, states = instance.aux, instance.states
+    validate_strategy(instance.strategy, aux.registry, aux.degree + max(psi.degree for psi in states))
 
     leaves = []
-    for leaf in run_cascade(totals, instance.strategy).leaves():
+    for leaf in run_cascade(states, instance.strategy, aux).leaves():
         reachable = tuple(k for k, p in enumerate(leaf.probabilities) if p >= VACUOUS_WEIGHT_TOL)
         if reachable and not leaf.covered:
             raise StrategyError(

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
 
 from .errors import PhotonCapError, SchemaError, UnitarityViolation
 from .measurement import CascadeStage, strategy_from_dict

@@ -20,8 +20,9 @@ outcome, keeping zero-probability branches in the tree but flagged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Union
 
 from .errors import PhotonCapError, SchemaError, StrategyError, UnitarityViolation, ZeroStateError
 from .modes import ModeRegistry
@@ -230,18 +231,25 @@ class OutcomeNode:
 ZERO_WEIGHT_TOL = 1e-12
 
 
-def run_cascade(input_states: Sequence[CreationPolynomial], stage: CascadeStage) -> OutcomeNode:
+def run_cascade(
+    input_states: Sequence[CreationPolynomial],
+    stage: CascadeStage,
+    aux: CreationPolynomial | None = None,
+) -> OutcomeNode:
     """Evaluate a cascade strategy on nonzero input states of one registry.
 
     Returns the root of the one outcome tree, whose leaves are the strategy's
     outcome histories.  Every possible photon count at each stage gets a node
     (zero-weight ones flagged); per input, cumulative probabilities over any
-    frontier of the tree sum to one.
+    frontier of the tree sum to one.  The tree is that of ``aux * psi_k``
+    (None: the constant 1), but the root sums its children's coefficients
+    from sub(aux) and each sub(psi_k) with :func:`product_coefficients`, so
+    no product is formed.  The root node keeps the ``psi_k``.
     """
     states = tuple(input_states)
-    if not states or any(s.is_zero() for s in states):
+    if not states or any(s.is_zero() for s in states) or (aux is not None and aux.is_zero()):
         raise ZeroStateError("cannot run a cascade on the zero state or on no state")
-    for s in states:
+    for s in states + (() if aux is None else (aux,)):
         states[0].registry.require_same(s.registry)
     root = OutcomeNode(
         history=(),
@@ -251,11 +259,11 @@ def run_cascade(input_states: Sequence[CreationPolynomial], stage: CascadeStage)
         zero_weight=False,
         covered=True,
     )
-    _expand_stage(root, stage)
+    _expand_stage(root, stage, aux)
     return root
 
 
-def _expand_stage(node: OutcomeNode, stage: CascadeStage) -> None:
+def _expand_stage(node: OutcomeNode, stage: CascadeStage, aux: CreationPolynomial | None) -> None:
     registry = next(s for s in node.states if s is not None).registry
     if stage.measure not in registry:
         raise StrategyError(
@@ -265,8 +273,17 @@ def _expand_stage(node: OutcomeNode, stage: CascadeStage) -> None:
     net = stage.network
     if net is not None:
         net.registry.require_same(registry)
-    mixed = [s if s is None or net is None else substitute(s, net) for s in node.states]
-    expansions = [s if s is None else expand_by_mode(s, stage.measure) for s in mixed]
+
+    def split(state: CreationPolynomial) -> ModeExpansion:
+        return expand_by_mode(state if net is None else substitute(state, net), stage.measure)
+
+    expansions = [s if s is None else split(s) for s in node.states]
+    if aux is not None:
+        aux_exp = split(aux)
+        expansions = [
+            replace(aux_exp, coefficients=product_coefficients(aux_exp, e, 0, aux_exp.order + e.order))
+            for e in expansions
+        ]
     weights = [() if e is None else e.weights() for e in expansions]
     for n in range(max(map(len, weights))):
         row = tuple(w[n] if n < len(w) else 0.0 for w in weights)
@@ -283,7 +300,7 @@ def _expand_stage(node: OutcomeNode, stage: CascadeStage) -> None:
         node.children.append(child)
         branch = stage.branches.get(n)
         if isinstance(branch, CascadeStage) and not child.zero_weight:
-            _expand_stage(child, branch)
+            _expand_stage(child, branch, None)
         elif isinstance(branch, str):
             child.label = branch
         elif branch is None:

@@ -29,6 +29,7 @@ class ModeRegistry:
     labels: tuple[str, ...]
     photon_cap: int = DEFAULT_PHOTON_CAP
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _without: dict[str, "ModeRegistry"] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # A zero-mode registry is the legal end state of measuring out every
@@ -42,6 +43,7 @@ class ModeRegistry:
             )
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_index", {lab: k for k, lab in enumerate(labels)})
+        object.__setattr__(self, "_without", {})
 
     @property
     def size(self) -> int:
@@ -57,11 +59,13 @@ class ModeRegistry:
         return label in self._index
 
     def without(self, label: str) -> "ModeRegistry":
-        """Registry with one mode removed, order and photon cap preserved."""
-        if label not in self._index:
-            raise KeyError(f"mode {label!r} not in registry {self.labels}")
-        kept = tuple(lab for lab in self.labels if lab != label)
-        return ModeRegistry(kept, self.photon_cap)
+        """Registry with one mode removed, order and photon cap preserved
+        (built once per label and kept)."""
+        if label not in self._without:
+            self.index(label)  # KeyError for a label not in the registry
+            kept = tuple(lab for lab in self.labels if lab != label)
+            self._without[label] = ModeRegistry(kept, self.photon_cap)
+        return self._without[label]
 
     def require_same(self, other: "ModeRegistry") -> None:
         """Raise RegistryMismatchError unless ``other`` is structurally equal."""

@@ -14,7 +14,7 @@ and Haar-random sampling for tests.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -163,25 +163,30 @@ def substitute(state: CreationPolynomial, net: LinearNetwork) -> CreationPolynom
     Every input operator a^dag_i is replaced by its image
     sum_j U[j,i] c^dag_j and the result re-expanded.  The state is evaluated
     in nested (Horner) form, one input mode at a time, so every multiply is by
-    one image and shifts a single exponent per output term; the sums stay
-    plain dicts and are pruned once, relative to the result's peak.  Total
-    degree is preserved term by term; the vacuum norm is preserved up to
-    roundoff because U is unitary.  A state of degree above the photon cap
-    goes through the validating constructor, which raises PhotonCapError
-    when some output occupation exceeds the cap.
+    one image and raises a single exponent per output term: with an exponent
+    tuple packed into one int, a digit per mode in base degree + 1 (no digit
+    carries), that is one added stride.  The sums stay plain dicts, pruned once
+    relative to the result's peak and unpacked once.  A state of degree 0 is
+    returned as it is.  Total degree is preserved term by term; the vacuum
+    norm is preserved up to roundoff because U is unitary.  A state of degree
+    above the photon cap goes through the validating constructor, which
+    raises PhotonCapError when some output occupation exceeds the cap.
     """
     state.registry.require_same(net.registry)
     registry = state.registry
-    if state.is_zero():
+    degree = state.degree
+    if degree == 0:
         return state
     size = registry.size
-    images = net.images
+    base = degree + 1
+    strides = [base**j for j in range(size)]
+    images = [tuple((strides[j], u) for j, u in image) for image in net.images]
 
-    def nested(terms: list[tuple[Exponents, complex]], k: int) -> dict[Exponents, complex]:
+    def nested(terms: list[tuple[Exponents, complex]], k: int) -> dict[int, complex]:
         """Image of ``terms`` over modes k.. in Horner form in mode k:
         out = out * image_k + (terms with a_k^n), from the top power n down."""
         if k == size:
-            return {(0,) * size: terms[0][1]}
+            return {0: terms[0][1]}
         by_power: dict[int, list[tuple[Exponents, complex]]] = {}
         for exps, coeff in terms:
             by_power.setdefault(exps[k], []).append((exps, coeff))
@@ -190,26 +195,27 @@ def substitute(state: CreationPolynomial, net: LinearNetwork) -> CreationPolynom
         for n in range(top - 1, -1, -1):
             out = _times_image(out, images[k])
             if n in by_power:
-                for exps, coeff in nested(by_power[n], k + 1).items():
-                    out[exps] = out.get(exps, 0.0) + coeff
+                for key, coeff in nested(by_power[n], k + 1).items():
+                    out[key] = out.get(key, 0.0) + coeff
         return out
 
-    terms = nested(list(state.items()), 0)
-    if state.degree <= registry.photon_cap:
+    packed = nested(list(state.items()), 0)
+    terms = {tuple([key // s % base for s in strides]): c for key, c in packed.items()}
+    if degree <= registry.photon_cap:
         return CreationPolynomial._trusted(registry, terms)
     return CreationPolynomial(registry, terms)
 
 
 def _times_image(
-    terms: dict[Exponents, complex], image: tuple[tuple[int, complex], ...]
-) -> dict[Exponents, complex]:
-    """``terms`` times the linear form sum_j u_j c^dag_j: each pair raises
-    one exponent of one term by one."""
-    out: dict[Exponents, complex] = {}
-    for exps, coeff in terms.items():
-        for j, u in image:
-            key = exps[:j] + (exps[j] + 1,) + exps[j + 1 :]
-            out[key] = out.get(key, 0.0) + coeff * u
+    terms: dict[int, complex], image: tuple[tuple[int, complex], ...]
+) -> dict[int, complex]:
+    """``terms`` times the linear form sum_j u_j c^dag_j, given as its
+    ``(stride_j, u_j)`` pairs: each pair raises one exponent of one term."""
+    out: dict[int, complex] = {}
+    for key, coeff in terms.items():
+        for stride, u in image:
+            raised = key + stride
+            out[raised] = out.get(raised, 0.0) + coeff * u
     return out
 
 

@@ -110,17 +110,21 @@ def _check_states(states: Sequence[CreationPolynomial]) -> int:
     return degrees.pop()
 
 
-def _check_aux(aux: CreationPolynomial, states: Sequence[CreationPolynomial]) -> None:
+def _check_aux(
+    aux: CreationPolynomial, states: Sequence[CreationPolynomial]
+) -> tuple[set[str], list[set[str]]]:
+    """The aux's modes and each state's, once they are checked disjoint."""
     if aux.is_zero():
         raise ValueError("auxiliary state is the zero polynomial")
-    aux_support = aux.support()
-    for k, psi in enumerate(states):
-        overlap = aux_support & psi.support()
+    supports = aux.support(), [psi.support() for psi in states]
+    for k, support in enumerate(supports[1]):
+        overlap = supports[0] & support
         if overlap:
             raise ValueError(
                 f"auxiliary state shares input modes {sorted(overlap)} with "
                 f"system state {k}; supports must be disjoint"
             )
+    return supports
 
 
 def system_expansions(
@@ -140,9 +144,12 @@ def reduced_network(
     states: Sequence[CreationPolynomial],
     net: LinearNetwork,
     measured: str,
+    supports: tuple[set[str], list[set[str]]] | None = None,
 ) -> LinearNetwork:
     """The network ``verify_no_go`` and ``stage_orthogonality`` substitute
     through: :func:`measured_row_network` with the cheaper column order.
+    ``supports``, when the caller has them, are the ones ``_check_aux``
+    returns for ``aux`` and ``states``.
 
     Two orders compete: the modes of the system states first, then the aux
     modes, or the aux modes first, then the system modes.  The first k
@@ -165,8 +172,8 @@ def reduced_network(
     if aux.degree + max(psi.degree for psi in states) > net.registry.photon_cap:
         return net
     labels = net.registry.labels
-    system = set().union(*(psi.support() for psi in states))
-    aux_modes = aux.support()
+    aux_modes, state_supports = supports or _check_aux(aux, states)
+    system = set().union(*state_supports)
     system_cols = [lab for lab in labels if lab in system]
     aux_cols = [lab for lab in labels if lab in aux_modes]
     photons = states[0].degree
@@ -451,8 +458,8 @@ def verify_no_go(
     and the zero-vector conditions agree pairwise.
     """
     _check_states(states)
-    _check_aux(aux, states)
-    net = reduced_network(aux, states, net, measured)
+    supports = _check_aux(aux, states)
+    net = reduced_network(aux, states, net, measured, supports)
     state_exps, n_s = system_expansions(states, net, measured)
     aux_exp = expand_by_mode(substitute(aux, net), measured)
     n_a = aux_exp.order

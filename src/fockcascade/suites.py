@@ -138,14 +138,18 @@ class OracleSuiteResult:
     max_overlap_deviation: float
     all_passed: bool
     elapsed_seconds: float = field(metadata={"json": None})
+    worst_instance: int = field(metadata={"json": None})  # index of the largest deviation
+    worst_deviation: float = field(metadata={"json": None})
 
     def summary(self) -> str:
+        """One line: the verdict, the largest deviations and the worst instance."""
         status = "PASS" if self.all_passed else "FAIL"
         return (
             f"{status}: {self.count} instances, max amplitude dev "
             f"{self.max_amplitude_deviation:.3e}, max weight dev "
             f"{self.max_weight_deviation:.3e}, max overlap dev "
-            f"{self.max_overlap_deviation:.3e} ({self.elapsed_seconds:.1f}s)"
+            f"{self.max_overlap_deviation:.3e} ({self.elapsed_seconds:.1f}s); worst "
+            f"instance {self.worst_instance} with deviation {self.worst_deviation:.3e}"
         )
 
     def to_dict(self) -> dict:
@@ -172,10 +176,8 @@ def run_oracle_suite(
         raise SuiteCapError("oracle suite supports 2..6 modes and 1..6 photons")
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
-    max_amp = 0.0
-    max_weight = 0.0
-    max_overlap = 0.0
-    for _ in range(count):
+    deviations = {}  # instance index -> its amplitude, weight and overlap deviations
+    for idx in range(count):
         n_modes = int(rng.integers(2, max_modes + 1))
         degree = int(rng.integers(1, max_photons + 1))
         registry = ModeRegistry(tuple(f"m{k}" for k in range(n_modes)))
@@ -189,7 +191,8 @@ def run_oracle_suite(
         out_poly = substitute(state, net)
         via_poly = embed(out_poly, basis)
         via_dense = apply_network_dense(embed(state, basis), net.matrix, basis)
-        max_amp = max(max_amp, float(np.abs(via_poly - via_dense).max()))
+        amp = float(np.abs(via_poly - via_dense).max())
+        weight_dev = overlap_dev = 0.0
 
         measured = registry.labels[int(rng.integers(0, n_modes))]
         pos = registry.index(measured)
@@ -201,12 +204,15 @@ def run_oracle_suite(
                 via_dense, pos, outcome, basis, reduced_basis
             )
             poly_weight = weights.get(outcome, 0.0)
-            max_weight = max(max_weight, abs(poly_weight - dense_weight))
+            weight_dev = max(weight_dev, abs(poly_weight - dense_weight))
             u = embed(expansion.coefficient(outcome), reduced_basis)
             nu, nv = np.linalg.norm(u), np.linalg.norm(dense_vec)
             if nu > 1e-9 and nv > 1e-9:
                 overlap = abs(np.vdot(u, dense_vec)) / (nu * nv)
-                max_overlap = max(max_overlap, float(abs(1.0 - overlap)))
+                overlap_dev = max(overlap_dev, float(abs(1.0 - overlap)))
+        deviations[idx] = (amp, weight_dev, overlap_dev)
+    max_amp, max_weight, max_overlap = map(max, zip((0.0, 0.0, 0.0), *deviations.values()))
+    worst = max(deviations, key=lambda k: max(deviations[k]), default=0)
     elapsed = time.perf_counter() - start
     passed = bool(max_amp <= tol and max_weight <= tol and max_overlap <= tol)
     return OracleSuiteResult(
@@ -217,4 +223,6 @@ def run_oracle_suite(
         max_overlap_deviation=max_overlap,
         all_passed=passed,
         elapsed_seconds=elapsed,
+        worst_instance=worst,
+        worst_deviation=max(deviations.get(worst, (0.0,))),
     )

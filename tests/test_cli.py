@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fockcascade import cli, nogo
+from fockcascade import cli, nogo, suites
 from fockcascade.cli import main
 from helpers import bell_instance
 
@@ -320,7 +320,26 @@ class TestOracleCheck:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["all_passed"] is True
-        assert "PASS" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "PASS" in err
+        result = suites.run_oracle_suite(count=5, seed=2)
+        assert err.rstrip().endswith(
+            f"worst instance {result.worst_instance} with deviation {result.worst_deviation:.3e}"
+        )
+        assert "worst" not in out.read_text()
+
+    def test_names_the_instance_where_the_largest_deviation_first_appears(self):
+        # The suite draws its instances in order from one stream, so a prefix
+        # of the run replays its first instances.
+        result = suites.run_oracle_suite(count=12, seed=4)
+        k = result.worst_instance
+
+        def largest(count):
+            r = suites.run_oracle_suite(count=count, seed=4)
+            return max(r.max_amplitude_deviation, r.max_weight_deviation, r.max_overlap_deviation)
+
+        assert result.worst_deviation == largest(12) == largest(k + 1)
+        assert k == 0 or largest(k) < result.worst_deviation
 
 
 def _with(payload, **fields):

@@ -27,8 +27,9 @@ from fockcascade import (
     vacuum_inner_product,
     vacuum_norm_sq,
 )
+from fockcascade import measurement
 from fockcascade.measurement import product_coefficients
-from fockcascade.sampling import random_homogeneous_state
+from fockcascade.sampling import random_aux_state, random_homogeneous_state
 from helpers import random_poly
 
 REG2 = ModeRegistry(("c", "d"))
@@ -380,6 +381,80 @@ class TestOneTree:
     def test_zero_input_rejected(self):
         with pytest.raises(ZeroStateError):
             run_cascade([hom_state(), CreationPolynomial.zero(REG2)], CascadeStage(measure="c"))
+
+
+def same_tree(factored, product):
+    """Walk two outcome trees in step: equal histories, labels, flags and
+    per-input reachability, weights and probabilities within 1e-12."""
+    assert factored.history == product.history
+    assert (factored.label, factored.covered, factored.zero_weight) == (
+        product.label, product.covered, product.zero_weight
+    )
+    assert [s is None for s in factored.states] == [s is None for s in product.states]
+    for a, b in zip(factored.weights + factored.probabilities, product.weights + product.probabilities):
+        assert abs(a - b) <= 1e-12
+    assert len(factored.children) == len(product.children)
+    for a, b in zip(factored.children, product.children):
+        same_tree(a, b)
+
+
+class TestFactoredRoot:
+    """``run_cascade(states, stage, aux)`` runs the tree of the products
+    ``aux * psi_k`` from the substituted factors."""
+
+    REG = ModeRegistry(("c", "d", "b0", "b1"))
+
+    def draw(self, seed):
+        rng = np.random.default_rng(seed)
+        states = [random_homogeneous_state(rng, self.REG, ("c", "d"), 2) for _ in range(3)]
+        aux = random_aux_state(rng, self.REG, ("b0", "b1"), 2)
+        return states, aux, random_full_strategy(rng, self.REG, 2 + aux.degree)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_tree_of_the_products(self, seed):
+        states, aux, stage = self.draw(seed)
+        same_tree(run_cascade(states, stage, aux), run_cascade([aux * psi for psi in states], stage))
+
+    def test_root_substitutes_the_factors_only(self, monkeypatch):
+        states, aux, _ = self.draw(0)
+        stage = CascadeStage(
+            measure="c",
+            network=random_network(self.REG, np.random.default_rng(1)),
+            branches={n: f"n{n}" for n in range(5)},
+        )
+        substituted = []
+        original = measurement.substitute
+
+        def recording(state, net):
+            substituted.append(state)
+            return original(state, net)
+
+        def no_multiply(self, other):
+            raise AssertionError("the root formed a product")
+
+        monkeypatch.setattr(measurement, "substitute", recording)
+        monkeypatch.setattr(CreationPolynomial, "__mul__", no_multiply)
+        run_cascade(states, stage, aux)
+        assert len(substituted) == len(states) + 1
+        assert {id(s) for s in substituted} == {id(f) for f in states + [aux]}
+
+    @pytest.mark.parametrize("cap, raises", [(3, True), (4, False)])
+    def test_photon_cap_raised_as_through_the_product(self, cap, raises):
+        # a^2 b^2 through a 50/50 splitter puts up to 4 photons on c.
+        reg = ModeRegistry(("c", "b"), photon_cap=cap)
+        psi = CreationPolynomial.mode(reg, "c", 2)
+        aux = CreationPolynomial.mode(reg, "b", 2)
+        stage = CascadeStage(measure="c", network=from_matrix(HADAMARD, reg))
+        for run in (lambda: run_cascade([psi], stage, aux), lambda: run_cascade([aux * psi], stage)):
+            if raises:
+                with pytest.raises(PhotonCapError):
+                    run()
+            else:
+                run()
+
+    def test_zero_aux_rejected(self):
+        with pytest.raises(ZeroStateError):
+            run_cascade([hom_state()], CascadeStage(measure="c"), CreationPolynomial.zero(REG2))
 
 
 class TestStrategyValidation:

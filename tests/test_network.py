@@ -186,8 +186,15 @@ class TestSubstitute:
         monkeypatch.setattr(CreationPolynomial, "__mul__", no_multiply)
         out = substitute(state, net)
         monkeypatch.undo()
+
+        def input_mode(image):
+            # The image of input mode k carries column k of U, in output order.
+            column = [u for _, u in image]
+            (k,) = [k for k, own in enumerate(net.images) if [u for _, u in own] == column]
+            return k
+
         # a1^2 a2^2: two shifts by the image of m2, then two by that of m1.
-        assert [net.images.index(image) for image in steps] == [1, 1, 0, 0]
+        assert [input_mode(image) for image in steps] == [1, 1, 0, 0]
         assert all(len(image) == 2 for image in net.images)
         # (c1 - c2)^2 (c1 + c2)^2 / 4 = (c1^2 - c2^2)^2 / 4
         assert abs(out.coefficient((4, 0)) - 0.25) < 1e-12
@@ -269,6 +276,59 @@ class TestHomomorphism:
             a1 * a1
         # Total degree 24 over the cap, but no single mode exceeds it.
         assert (a1 * CreationPolynomial.mode(reg, "a2", 12)).degree == 24
+
+
+state_shapes = st.tuples(
+    st.integers(min_value=1, max_value=5),   # modes
+    st.integers(min_value=0, max_value=6),   # degree
+    st.booleans(),                           # homogeneous
+    net_seeds,
+)
+
+
+def drawn_state(shape):
+    modes, degree, homogeneous, seed = shape
+    rng = np.random.default_rng(seed)
+    reg = ModeRegistry(tuple(f"m{k}" for k in range(modes)))
+    return reg, random_poly(rng, reg, degree, homogeneous), rng
+
+
+class TestPackedKernel:
+    """The packed-integer kernel against two references that do not use it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(state_shapes)
+    def test_permutation_relabels_exponents(self, shape):
+        reg, state, rng = drawn_state(shape)
+        perm = rng.permutation(reg.size)
+        matrix = np.zeros((reg.size, reg.size))
+        matrix[perm, np.arange(reg.size)] = 1.0  # a^dag_i -> c^dag_perm[i]
+        out = substitute(state, from_matrix(matrix, reg))
+        want = {}
+        for exps, coeff in state.items():
+            moved = [0] * reg.size
+            for i, e in enumerate(exps):
+                moved[perm[i]] = e
+            want[tuple(moved)] = coeff
+        assert dict(out.items()) == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(state_shapes)
+    def test_equals_the_product_of_the_images(self, shape):
+        reg, state, rng = drawn_state(shape)
+        net = random_network(reg, rng)
+        images = []
+        for image in net.images:
+            unit = np.eye(reg.size, dtype=int)
+            images.append(CreationPolynomial(reg, {tuple(unit[j]): u for j, u in image}))
+        want = CreationPolynomial.zero(reg)
+        for exps, coeff in state.items():
+            term = CreationPolynomial.constant(reg, coeff)
+            for i, e in enumerate(exps):
+                for _ in range(e):
+                    term = term * images[i]
+            want = want + term
+        assert substitute(state, net).isclose(want, tol=1e-12)
 
 
 class TestMeasuredRowNetwork:

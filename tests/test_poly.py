@@ -31,6 +31,18 @@ def mode(reg, label, power=1):
     return CreationPolynomial.mode(reg, label, power)
 
 
+class TestRegistry:
+    def test_without_is_built_once_and_compares_by_value(self):
+        reg = ModeRegistry(("a1", "a2", "a3"), photon_cap=7)
+        fresh = ModeRegistry(("a1", "a2", "a3"), photon_cap=7)
+        reduced = reg.without("a2")
+        assert reg.without("a2") is reduced
+        assert reduced == ModeRegistry(("a1", "a3"), photon_cap=7)
+        assert reg == fresh and hash(reg) == hash(fresh)
+        with pytest.raises(KeyError, match="not in registry"):
+            reg.without("b")
+
+
 class TestAdd:
     def test_additive_identity(self):
         p = mode(REG2, "a1") + 2.0 * mode(REG2, "a2")
