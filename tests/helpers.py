@@ -156,3 +156,28 @@ def bell_instance() -> dict:
         ],
         "strategy": strategy,
     }
+
+
+def lift_generator_loop(h: np.ndarray, basis: FockBasis) -> np.ndarray:
+    """Reference for ``fockdense._lift_generator``: the second-quantized
+    generator sum_ij h[i,j] a^dag_i a_j, built one state, mode and hop at a
+    time from the ladder-operator matrix elements."""
+    dim = basis.dimension
+    out = np.zeros((dim, dim), dtype=complex)
+    for col, occ in enumerate(basis.states):
+        for j, nj in enumerate(occ):
+            if nj == 0:
+                continue
+            for i in range(basis.mode_count):
+                hij = h[i, j]
+                if hij == 0:
+                    continue
+                if i == j:
+                    out[col, col] += hij * nj
+                else:
+                    moved = list(occ)
+                    moved[j] -= 1
+                    moved[i] += 1
+                    row = basis.index[tuple(moved)]
+                    out[row, col] += hij * math.sqrt(nj * (occ[i] + 1))
+    return out

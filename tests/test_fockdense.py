@@ -21,8 +21,8 @@ from fockcascade import (
     substitute,
 )
 from fockcascade import fockdense
-from fockcascade.fockdense import _lift_generator, _mode_generator
-from helpers import random_poly
+from fockcascade.fockdense import OPERATOR_MAX_DIMENSION, _lift_generator, _mode_generator
+from helpers import lift_generator_loop, random_poly
 
 REG2 = ModeRegistry(("c", "d"))
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -144,6 +144,92 @@ class TestDenseEvolution:
         fock_unitary(haar_random_unitary(6, np.random.default_rng(37)), basis)
         assert len(shapes) == 7
         assert max(shapes) == (462, 462)
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_mode_unitary_must_act_on_every_mode(self, size):
+        wrong = haar_random_unitary(size, np.random.default_rng(38))
+        for modes, cap in [(2, 2), (4, 6)]:
+            basis = FockBasis(modes, cap)
+            vec = np.ones(basis.dimension, dtype=complex)
+            with pytest.raises(ValueError, match=f"does not act on {modes} modes"):
+                fock_unitary(wrong, basis)
+            with pytest.raises(ValueError, match=f"does not act on {modes} modes"):
+                apply_network_dense(vec, wrong, basis)
+
+
+def test_lift_matches_the_per_state_loop():
+    # The loop skips zero entries of h: the identity (h = 0) and the mode
+    # reversal (h zero off its diagonal and antidiagonal) take that branch.
+    rng = np.random.default_rng(39)
+    for modes in range(1, 7):
+        reversal = np.eye(modes)[::-1]
+        for cap in range(7):
+            basis = FockBasis(modes, cap)
+            for u in (haar_random_unitary(modes, rng), np.eye(modes), reversal):
+                h = _mode_generator(u)
+                assert np.array_equal(_lift_generator(h, basis), lift_generator_loop(h, basis)), (
+                    modes, cap)
+
+
+def test_lift_keys_beyond_int64():
+    # One photon on 63 modes: keys reach 2**63, past the int64 range.
+    basis = FockBasis(63, 1)
+    h = _mode_generator(haar_random_unitary(63, np.random.default_rng(40)))
+    assert np.array_equal(_lift_generator(h, basis), lift_generator_loop(h, basis))
+
+
+def _route_vectors(basis, rng):
+    """A one-sector vector, a vector over every sector and the zero vector."""
+    superposed = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
+    one_sector = np.zeros(basis.dimension, dtype=complex)
+    one_sector[basis.sectors[-1]] = superposed[basis.sectors[-1]]
+    return one_sector, superposed, np.zeros(basis.dimension, dtype=complex)
+
+
+class TestEvolutionRoutes:
+    LARGE = [(4, 6), (6, 5), (6, 6)]
+
+    @pytest.mark.parametrize("modes,cap", LARGE)
+    def test_action_agrees_with_operator(self, modes, cap):
+        rng = np.random.default_rng(41)
+        basis = FockBasis(modes, cap)
+        assert basis.dimension > OPERATOR_MAX_DIMENSION
+        u = haar_random_unitary(modes, rng)
+        operator = fock_unitary(u, basis)
+        for vec in _route_vectors(basis, rng):
+            out = apply_network_dense(vec, u, basis)
+            assert np.abs(out - operator @ vec).max() <= 1e-12 * np.linalg.norm(vec)
+
+    @pytest.mark.parametrize("modes,cap", LARGE)
+    def test_action_forms_no_operator(self, modes, cap, monkeypatch):
+        rng = np.random.default_rng(42)
+        basis = FockBasis(modes, cap)
+
+        def forbidden(*args):
+            raise AssertionError("dense operator formed above the crossover")
+
+        monkeypatch.setattr(fockdense, "fock_unitary", forbidden)
+        monkeypatch.setattr(fockdense.scipy.linalg, "expm", forbidden)
+        u = haar_random_unitary(modes, rng)
+        for vec in _route_vectors(basis, rng):
+            apply_network_dense(vec, u, basis)
+
+    @pytest.mark.parametrize("modes,cap", [(2, 2), (4, 4), (4, 5), (5, 4)])
+    def test_operator_up_to_the_crossover(self, modes, cap, monkeypatch):
+        basis = FockBasis(modes, cap)
+        assert basis.dimension <= OPERATOR_MAX_DIMENSION
+        calls = []
+        operator = fockdense.fock_unitary
+
+        def counting(u, b):
+            calls.append(b.dimension)
+            return operator(u, b)
+
+        monkeypatch.setattr(fockdense, "fock_unitary", counting)
+        rng = np.random.default_rng(43)
+        vec = _route_vectors(basis, rng)[1]
+        apply_network_dense(vec, haar_random_unitary(modes, rng), basis)
+        assert calls == [basis.dimension]
 
 
 class TestProjection:

@@ -1,8 +1,12 @@
 """Every name a package module imports is used in it (or re-exported
-through ``__all__``), so that a refactor cannot leave a dead import behind."""
+through ``__all__``), so that a refactor cannot leave a dead import behind,
+and importing the package loads no module that only one route needs."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -49,3 +53,14 @@ def test_no_unused_imports(path):
 def test_guard_sees_an_unused_import():
     tree = ast.parse("from .poly import sig12, report_value\nreport_value(1.0)\n")
     assert imported_names(tree) - used_names(tree) == {"sig12"}
+
+
+def test_import_leaves_sparse_linalg_unloaded():
+    # Only the dense oracle's large-basis route needs it; loading it at
+    # import would lengthen every `import fockcascade`.
+    code = "import sys, fockcascade; print('scipy.sparse.linalg' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "False"
