@@ -23,7 +23,7 @@ import os
 import sys
 import traceback
 
-from .discriminate import DiscriminationInstance, cascade_discrimination, stage_orthogonality
+from .discriminate import DiscriminationInstance, cascade_discrimination
 from .errors import (
     FockCascadeError,
     PhotonCapError,
@@ -126,9 +126,6 @@ def _cmd_check(args) -> int:
     disc = DiscriminationInstance(
         states=instance.states, aux=instance.aux, strategy=instance.strategy
     )
-    root = instance.strategy
-    root_net = root.network if root.network is not None else identity(instance.registry)
-    stage = stage_orthogonality(disc, root_net, root.measure)
     cascade = cascade_discrimination(disc)
     _emit(
         {
@@ -136,7 +133,7 @@ def _cmd_check(args) -> int:
             "command": "check",
             "verdict": cascade.verdict,
             "cascade": cascade.to_dict(),
-            "root_stage": stage.to_dict(),
+            "root_stage": cascade.root_stage.to_dict(),
         },
         args.out,
     )

@@ -18,20 +18,14 @@ provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import StrategyError
-from .measurement import (
-    CascadeStage,
-    expand_by_mode,
-    product_coefficients,
-    run_cascade,
-    validate_strategy,
-)
-from .network import LinearNetwork, substitute
-from .nogo import reduced_network, system_expansions, verify_no_go, _check_aux, _check_states
+from .measurement import CascadeStage, OutcomeNode, run_cascade, validate_strategy
+from .network import LinearNetwork
+from .nogo import verify_no_go, _check_aux, _check_states
 from .poly import CreationPolynomial, report_value, vacuum_inner_product, vacuum_norm_sq
 
 INPUT_ORTHOGONALITY_TOL = 1e-10
@@ -101,29 +95,23 @@ def stage_orthogonality(
     possible photon count on the measured mode.  A pair counts as
     distinguished at an outcome when the scaled inner-product test passes or
     when at least one conditional weight is vacuously small; both conditions
-    are reported separately.  The conditional state of input k at outcome N
-    is coefficient N of ``sub(aux) * sub(psi_k)``, summed from the two
-    expansions without forming the product.  Both are substituted through
-    ``nogo.reduced_network``, which leaves every weight and overlap of the
-    measured mode as it is.
+    are reported separately.  The outcomes are the root children of the
+    one-stage cascade ``CascadeStage(measured, net)`` on the instance, whose
+    conditional state of input k at outcome N is coefficient N of
+    ``sub(aux) * sub(psi_k)`` through the full network.
     """
-    net = reduced_network(instance.aux, instance.states, net, measured)
-    state_exps, n_s = system_expansions(instance.states, net, measured)
-    aux_exp = expand_by_mode(substitute(instance.aux, net), measured)
-    max_outcome = aux_exp.order + n_s
-    totals = [
-        replace(aux_exp, coefficients=product_coefficients(aux_exp, e, 0, max_outcome))
-        for e in state_exps
-    ]
-    weights = [t.weights() for t in totals]
+    root = run_cascade(instance.states, CascadeStage(measured, net), instance.aux)
+    return _stage_report(root, measured)
 
+
+def _stage_report(root: OutcomeNode, measured: str) -> StageReport:
+    """One record per pair per root child of an outcome tree."""
     records = []
-    for i in range(len(totals)):
-        for j in range(i + 1, len(totals)):
-            for outcome in range(max_outcome + 1):
-                state_i = totals[i].coefficient(outcome)
-                state_j = totals[j].coefficient(outcome)
-                weight_i, weight_j = weights[i][outcome], weights[j][outcome]
+    for i in range(len(root.states)):
+        for j in range(i + 1, len(root.states)):
+            for outcome, child in enumerate(root.children):
+                state_i, state_j = child.states[i], child.states[j]
+                weight_i, weight_j = child.weights[i], child.weights[j]
                 inner = vacuum_inner_product(state_i, state_j)
                 scale = math.sqrt(vacuum_norm_sq(state_i) * vacuum_norm_sq(state_j))
                 orthogonal = abs(inner) <= ORTHOGONALITY_TOL * max(scale, 1.0)
@@ -143,7 +131,7 @@ def stage_orthogonality(
                 )
     return StageReport(
         measured=measured,
-        max_outcome=max_outcome,
+        max_outcome=len(root.children) - 1,
         records=tuple(records),
         verdict=all(r.distinguished for r in records),
     )
@@ -162,6 +150,7 @@ class LeafRecord:
 class CascadeReport:
     verdict: bool
     leaves: tuple[LeafRecord, ...]
+    root_stage: StageReport = field(metadata={"json": None})
 
     @property
     def ambiguous_leaves(self) -> tuple[LeafRecord, ...]:
@@ -175,17 +164,20 @@ def cascade_discrimination(instance: DiscriminationInstance) -> CascadeReport:
     """Run the strategy once on the candidate set and judge its leaves.
 
     Passes when every outcome history reached with nonzero probability is
-    reached by exactly one input state.  Raises StrategyError when the
-    strategy leaves a reachable outcome without a branch or label, or when it
-    references impossible outcomes or consumed modes.
+    reached by exactly one input state.  ``root_stage`` is the
+    :func:`stage_orthogonality` report of the root stage, read off the same
+    tree.  Raises StrategyError when the strategy leaves a reachable outcome
+    without a branch or label, or when it references impossible outcomes or
+    consumed modes.
     """
     if instance.strategy is None:
         raise StrategyError("instance has no strategy to check")
     aux, states = instance.aux, instance.states
     validate_strategy(instance.strategy, aux.registry, aux.degree + max(psi.degree for psi in states))
 
+    root = run_cascade(states, instance.strategy, aux)
     leaves = []
-    for leaf in run_cascade(states, instance.strategy, aux).leaves():
+    for leaf in root.leaves():
         reachable = tuple(k for k, p in enumerate(leaf.probabilities) if p >= VACUOUS_WEIGHT_TOL)
         if reachable and not leaf.covered:
             raise StrategyError(
@@ -197,6 +189,7 @@ def cascade_discrimination(instance: DiscriminationInstance) -> CascadeReport:
     return CascadeReport(
         verdict=all(not leaf.ambiguous for leaf in leaves),
         leaves=tuple(leaves),
+        root_stage=_stage_report(root, instance.strategy.measure),
     )
 
 

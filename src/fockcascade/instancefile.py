@@ -94,7 +94,7 @@ def _check_poly_dict(data, where: str) -> None:
             _require(key in term, f"{where}.terms[{k}] needs '{key}'")
         _require(
             isinstance(term["exp"], list)
-            and all(isinstance(e, int) and e >= 0 for e in term["exp"]),
+            and all(isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in term["exp"]),
             f"{where}.terms[{k}].exp must be nonnegative integers",
         )
         for key in ("re", "im"):

@@ -199,7 +199,8 @@ class OutcomeNode:
 
     Per input: ``weights`` is the outcome probability given the parent,
     ``probabilities`` is cumulative from the root, and ``states`` holds the
-    conditional state, None once the weight falls below ZERO_WEIGHT_TOL.
+    conditional state of every input that reached the parent, None for the
+    others; only those weighing at least ZERO_WEIGHT_TOL here go further.
     Leaves carry a decision ``label`` (None when the strategy left the outcome
     uncovered).  A node no input reaches is kept, flagged, and not expanded.
     """
@@ -277,7 +278,7 @@ def _expand_stage(node: OutcomeNode, stage: CascadeStage, aux: CreationPolynomia
     def split(state: CreationPolynomial) -> ModeExpansion:
         return expand_by_mode(state if net is None else substitute(state, net), stage.measure)
 
-    expansions = [s if s is None else split(s) for s in node.states]
+    expansions = [split(s) if w >= ZERO_WEIGHT_TOL else None for s, w in zip(node.states, node.weights)]
     if aux is not None:
         aux_exp = split(aux)
         expansions = [
@@ -291,9 +292,7 @@ def _expand_stage(node: OutcomeNode, stage: CascadeStage, aux: CreationPolynomia
             history=node.history + (n,),
             weights=row,
             probabilities=tuple(p * w for p, w in zip(node.probabilities, row)),
-            states=tuple(
-                e.coefficient(n) if w >= ZERO_WEIGHT_TOL else None for e, w in zip(expansions, row)
-            ),
+            states=tuple(e if e is None else e.coefficient(n) for e in expansions),
             zero_weight=max(row) < ZERO_WEIGHT_TOL,
             covered=True,
         )

@@ -24,17 +24,17 @@ conditioning of the product state; ``M' U'`` comes from coefficient tables
 built by the reordering recursion below.  ``verify_no_go`` runs both and
 reports the residual, the triangular structure, and the determinant identity.
 It substitutes and expands the auxiliary state and each state once, the
-states through ``system_expansions`` as ``stage_orthogonality`` does.  Since
+states through ``system_expansions``.  Since
 substitution is a ring homomorphism, the product state ``sub(aux * psi)`` is
 ``sub(aux) * sub(psi)``, and V reads only its coefficients
 N = n_a .. n_a + n_s.  Each is the Cauchy sum ``sum_a Qa(a) Qs(N - a)`` of
 the two expansions, so the product itself is never formed.
 
-Every number both checks read is an outcome weight or a vacuum overlap of
-coefficients of the measured mode c, and none of them changes when a unitary
-W acts after the network on the other outputs.  So only the measured row
-U[c, :] matters, and ``verify_no_go`` and ``stage_orthogonality`` substitute
-through :func:`reduced_network`: row c unchanged, the other rows the R of a
+Every number ``verify_no_go`` reads is an outcome weight or a vacuum overlap
+of coefficients of the measured mode c, and none of them changes when a
+unitary W acts after the network on the other outputs.  So only the measured
+row U[c, :] matters, and ``verify_no_go`` substitutes through
+:func:`reduced_network`: row c unchanged, the other rows the R of a
 QR factorization of the unmeasured rows, with the system or the aux columns
 first, whichever the term-count estimate in its docstring finds cheaper.
 Input column k of that order reaches c and at most k + 1 other outputs, so a
@@ -42,10 +42,11 @@ state on the first m columns lands on m + 1 outputs instead of all n.  When
 the aux and state degrees add up past the photon cap, the full network is
 kept, so that the cap is checked on physical outputs.  The reduction is
 deliberately not used where output states are shown or acted on later:
-``simulate``, ``condition``, the cascade stages, and the reference
-routes ``conditional_overlap_vector``, ``coefficient_overlap_vector`` and
-the dense oracle, which keep the full network so that the tests compare the
-reduced pipeline with the unreduced one.
+``simulate``, ``condition``, the cascade stages and ``stage_orthogonality``,
+which reads a cascade's root outcomes, and the reference routes
+``conditional_overlap_vector``, ``coefficient_overlap_vector`` and the dense
+oracle, which keep the full network so that the tests compare the reduced
+pipeline with the unreduced one.
 
 Component conventions used throughout (all indices nonnegative):
 
@@ -144,12 +145,12 @@ def reduced_network(
     states: Sequence[CreationPolynomial],
     net: LinearNetwork,
     measured: str,
-    supports: tuple[set[str], list[set[str]]] | None = None,
+    supports: tuple[set[str], list[set[str]]],
 ) -> LinearNetwork:
-    """The network ``verify_no_go`` and ``stage_orthogonality`` substitute
-    through: :func:`measured_row_network` with the cheaper column order.
-    ``supports``, when the caller has them, are the ones ``_check_aux``
-    returns for ``aux`` and ``states``.
+    """The network ``verify_no_go`` substitutes through:
+    :func:`measured_row_network` with the cheaper column order.
+    ``supports`` are the ones ``_check_aux`` returns for ``aux`` and
+    ``states``.
 
     Two orders compete: the modes of the system states first, then the aux
     modes, or the aux modes first, then the system modes.  The first k
@@ -172,7 +173,7 @@ def reduced_network(
     if aux.degree + max(psi.degree for psi in states) > net.registry.photon_cap:
         return net
     labels = net.registry.labels
-    aux_modes, state_supports = supports or _check_aux(aux, states)
+    aux_modes, state_supports = supports
     system = set().union(*state_supports)
     system_cols = [lab for lab in labels if lab in system]
     aux_cols = [lab for lab in labels if lab in aux_modes]

@@ -8,6 +8,7 @@ import json
 import math
 import pathlib
 import re
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -220,6 +221,37 @@ class TestCheck:
         assert not any(a != b and b[: len(a)] == a for a in histories for b in histories)
 
 
+    @pytest.mark.parametrize("n_states", [2, 3])
+    def test_one_substitution_per_state_and_the_aux(self, tmp_path, monkeypatch, n_states):
+        # The cascade substitutes the root stage once; the root-stage report
+        # reads its outcomes and substitutes nothing itself.
+        modes = [f"s{k}" for k in range(n_states)] + ["b0"]
+        photon = [_photon_terms(tuple(int(k == m) for m in range(len(modes)))) for k in range(len(modes))]
+        payload = {
+            "modes": modes,
+            "states": photon[:-1],
+            "aux": photon[-1],
+            "strategy": {
+                "network": {"elements": [
+                    {"bs": {"theta": 0.6, "phi": 0.2, "i": label, "j": "b0"}} for label in modes[:-1]
+                ]},
+                "measure": "s0",
+                "branches": {str(n): f"saw-{n}" for n in range(3)},
+            },
+        }
+        original = sys.modules["fockcascade.network"].substitute
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "fockcascade" and getattr(module, "substitute", None) is original:
+                monkeypatch.setattr(module, "substitute", counted)
+        assert main(["check", write(tmp_path, "inst.json", payload), "--out", str(tmp_path / "r")]) == 0
+        assert len(calls) == n_states + 1
+
     def test_product_over_the_photon_cap_exits_4(self, tmp_path, capsys):
         # Each state and the aux hold two photons, under the cap of 3; the
         # root stage's product would put four on the measured mode.
@@ -241,6 +273,33 @@ class TestCheck:
         assert main(["--photon-cap", "3", "check", path]) == 4
         err = capsys.readouterr().err
         assert err == "error: occupation 4 exceeds photon cap 3\n", err
+
+
+INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
+
+
+class TestInstanceFiles:
+    """The committed Bell-state instances: two 50:50 splitters identify half
+    of the four states; without them the root stage mixes nothing and none
+    is identified.  Neither root stage keeps every pair orthogonal."""
+
+    @pytest.mark.parametrize(
+        "name, identified", [("bell.json", 0.5), ("bell_no_network.json", 0.0)]
+    )
+    def test_check(self, capsys, name, identified):
+        assert main(["check", str(INSTANCES / name)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] is False
+        assert report["root_stage"]["verdict"] is False
+        leaves = report["cascade"]["leaves"]
+        mass = sum(sum(leaf["probabilities"]) for leaf in leaves if not leaf["ambiguous"])
+        assert abs(mass / len(leaves[0]["probabilities"]) - identified) <= 1e-12
+
+    def test_files_are_the_helper_instance(self):
+        bell = bell_instance()
+        assert json.loads((INSTANCES / "bell.json").read_text()) == bell
+        del bell["strategy"]["network"]
+        assert json.loads((INSTANCES / "bell_no_network.json").read_text()) == bell
 
 
 class TestVerifyNogo:
@@ -407,6 +466,13 @@ class TestMalformedInputs:
             _with(
                 pair_instance(IDENTITY_JSON),
                 states=[{"terms": [{"exp": [1, 1], "re": float("inf"), "im": 0.0}]}],
+            ),
+        ),
+        "boolean-exponent": (
+            ["simulate"],
+            _with(
+                pair_instance(IDENTITY_JSON),
+                states=[{"terms": [{"exp": [True, 0], "re": 1.0, "im": 0.0}]}],
             ),
         ),
         "nan-matrix-entry": (["simulate"], pair_instance(NAN_MATRIX)),

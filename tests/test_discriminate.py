@@ -23,7 +23,7 @@ from fockcascade import (
     vacuum_inner_product,
     verify_no_go,
 )
-from fockcascade import discriminate, nogo
+from fockcascade import discriminate, measurement, nogo
 from fockcascade.instancefile import parse_instance
 from fockcascade.sampling import random_aux_state
 from helpers import bell_instance, orthogonal_states
@@ -97,9 +97,10 @@ class TestStageOrthogonality:
 
     @pytest.mark.parametrize("n_states", [2, 3, 4])
     def test_one_substitution_per_state(self, monkeypatch, n_states):
-        # K+1 substitutions and K+1 expansions for K states (the product
-        # states are summed from the expansions, never expanded); the records
-        # still match conditioning sub(aux*psi) once per outcome.
+        # K+1 substitutions and K+1 expansions for K states, all in the
+        # cascade's root stage (the product states are summed from the
+        # expansions, never expanded); the records still match conditioning
+        # sub(aux*psi) once per outcome.
         rng = np.random.default_rng(70 + n_states)
         reg = ModeRegistry(("s0", "s1", "s2", "b0", "b1"))
         states = orthogonal_states(rng, reg, ("s0", "s1", "s2"), 2, n_states)
@@ -116,7 +117,7 @@ class TestStageOrthogonality:
             return wrapper
 
         with monkeypatch.context() as patch:
-            for module in (nogo, discriminate):
+            for module in (nogo, discriminate, measurement):
                 for name in calls:
                     if hasattr(module, name):
                         patch.setattr(module, name, counted(name, getattr(module, name)))
@@ -136,9 +137,10 @@ class TestStageOrthogonality:
             assert abs(r.inner_product - want) <= 1e-10 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("n_states", [2, 3])
-    def test_reads_the_expansions_verify_no_go_reads(self, n_states):
-        # Both checks sum the same window products from the same expansions,
-        # so V[s] is the stage record at outcome n_a + n_s - s, bit for bit.
+    def test_agrees_with_verify_no_go_across_the_networks(self, n_states):
+        # V[s] is the stage record at outcome n_a + n_s - s.  verify_no_go
+        # substitutes through the reduced network and the stage check through
+        # the full one, so the two agree to rounding, not bit for bit.
         rng = np.random.default_rng(90 + n_states)
         reg = ModeRegistry(("s0", "s1", "s2", "b0", "b1"))
         states = orthogonal_states(rng, reg, ("s0", "s1", "s2"), 2, n_states)
@@ -152,8 +154,39 @@ class TestStageOrthogonality:
         assert len(report.pairs) == n_states * (n_states - 1) // 2
         for pair in report.pairs:
             assert any(v != 0 for v in pair.with_aux)
+            scale = max(1.0, max(abs(v) for v in pair.with_aux))
             for s, v in enumerate(pair.with_aux):
-                assert inner[(pair.i, pair.j, top - s)] == v
+                assert abs(inner[(pair.i, pair.j, top - s)] - v) <= 1e-12 * scale
+
+
+class TestRootStage:
+    """``cascade_discrimination`` reads the root-stage report off its own
+    tree; it is the report ``stage_orthogonality`` gives for the root stage,
+    with the identity standing in for a root without a network."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_stage_orthogonality(self, seed):
+        rng = np.random.default_rng(110 + seed)
+        reg = ModeRegistry(("s0", "s1", "s2", "b0", "b1"))
+        states = orthogonal_states(rng, reg, ("s0", "s1", "s2"), 2, 2 + seed % 3)
+        aux = random_aux_state(rng, reg, ("b0", "b1"), 1 + seed % 2)
+        net = random_network(reg, rng) if seed % 2 else None
+        measure = reg.labels[seed % reg.size]
+        top = 2 + aux.degree
+        strategy = CascadeStage(measure, net, {n: f"n{n}" for n in range(top + 1)})
+        inst = DiscriminationInstance(states=tuple(states), aux=aux, strategy=strategy)
+        got = cascade_discrimination(inst).root_stage
+        want = stage_orthogonality(inst, net or identity(reg), measure)
+        assert (got.measured, got.max_outcome, got.verdict) == (
+            want.measured, want.max_outcome, want.verdict
+        )
+        assert len(got.records) == len(want.records) > 0
+        for r, q in zip(got.records, want.records):
+            assert (r.i, r.j, r.outcome, r.orthogonal, r.vacuous, r.distinguished) == (
+                q.i, q.j, q.outcome, q.orthogonal, q.vacuous, q.distinguished
+            )
+            for name in ("inner_product", "weight_i", "weight_j"):
+                assert abs(getattr(r, name) - getattr(q, name)) <= 1e-12
 
 
 def full_measurement_strategy(reg, total_photons=1, network=None, depth_labels=("m1", "m2")):

@@ -28,7 +28,7 @@ from fockcascade import (
     vacuum_norm_sq,
 )
 from fockcascade import measurement
-from fockcascade.measurement import product_coefficients
+from fockcascade.measurement import ZERO_WEIGHT_TOL, product_coefficients
 from fockcascade.sampling import random_aux_state, random_homogeneous_state
 from helpers import random_poly
 
@@ -381,6 +381,33 @@ class TestOneTree:
     def test_zero_input_rejected(self):
         with pytest.raises(ZeroStateError):
             run_cascade([hom_state(), CreationPolynomial.zero(REG2)], CascadeStage(measure="c"))
+
+    def test_input_below_the_weight_floor_keeps_its_state_but_stops(self, monkeypatch):
+        # psi_1 reaches outcome 0 on c only with weight ~1e-14: the child
+        # keeps its conditional state, but the next stage substitutes psi_0's
+        # alone and psi_1 reaches none of its outcomes.
+        reg = ModeRegistry(("c", "d", "e"))
+        psi_0 = CreationPolynomial.mode(reg, "d")
+        psi_1 = CreationPolynomial.mode(reg, "c") + 1e-7 * CreationPolynomial.mode(reg, "e")
+        second = CascadeStage(
+            measure="d",
+            network=from_matrix(HADAMARD, reg.without("c")),
+            branches={0: "d0", 1: "d1"},
+        )
+        stage = CascadeStage(measure="c", branches={0: second, 1: "c1"})
+        substituted = []
+        original = measurement.substitute
+
+        def recording(state, net):
+            substituted.append(state)
+            return original(state, net)
+
+        monkeypatch.setattr(measurement, "substitute", recording)
+        child = run_cascade([psi_0, psi_1], stage).children[0]
+        assert 0.0 < child.weights[1] < ZERO_WEIGHT_TOL
+        assert abs(vacuum_norm_sq(child.states[1]) - 1e-14) <= 1e-26
+        assert [id(s) for s in substituted] == [id(child.states[0])]
+        assert [leaf.states[1] for leaf in child.children] == [None, None]
 
 
 def same_tree(factored, product):

@@ -721,7 +721,9 @@ class TestWorkCount:
         inst = random_nogo_instance(
             np.random.default_rng(62), max_aux_photons=3, force_aux_photons=True
         )
-        net = nogo.reduced_network(inst.aux, inst.states, inst.network, inst.measured)
+        net = nogo.reduced_network(
+            inst.aux, inst.states, inst.network, inst.measured, nogo._check_aux(inst.aux, inst.states)
+        )
         aux_out = substitute(inst.aux, net)
         aux_exp = expand_by_mode(aux_out, inst.measured)
         assert aux_exp.order > 0
@@ -745,7 +747,9 @@ class TestWorkCount:
         report = verify_no_go(aux, inst.states, inst.network, inst.measured)
         monkeypatch.undo()
         assert report.passed
-        net = nogo.reduced_network(aux, inst.states, inst.network, inst.measured)
+        net = nogo.reduced_network(
+            aux, inst.states, inst.network, inst.measured, nogo._check_aux(aux, inst.states)
+        )
         terms = sum(len(substitute(psi, net)) for psi in inst.states)
         assert sum(counts) == terms
 
