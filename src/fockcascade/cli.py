@@ -33,7 +33,7 @@ from .errors import (
 from .instancefile import load_instance
 from .measurement import condition
 from .modes import DEFAULT_PHOTON_CAP
-from .network import CONSTRUCTION_TOL, identity, substitute
+from .network import CONSTRUCTION_TOL, substitute
 from .poly import report_value
 from .suites import SuiteCapError, run_nogo_suite, run_oracle_suite
 
@@ -59,19 +59,20 @@ def _emit(report: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _network(instance, name: str | None):
-    """The named network, or the instance's own; the identity only when
-    neither a name nor any network is given."""
-    if name is None and not instance.networks:
-        return identity(instance.registry)
-    return instance.network(name)
+def _load(args):
+    return load_instance(args.instance, photon_cap=args.photon_cap, unitarity_tol=args.tolerance)
+
+
+def _emit_suite(result, suite: str, schema_version: str, out_path: str | None) -> int:
+    """Write a suite report, print its summary, and return its exit code."""
+    _emit({"schema_version": schema_version, "suite": suite, **report_value(result)}, out_path)
+    print(result.summary(), file=sys.stderr)
+    return EXIT_OK if result.all_passed else EXIT_SUITE_FAILED
 
 
 def _cmd_simulate(args) -> int:
-    instance = load_instance(
-        args.instance, photon_cap=args.photon_cap, unitarity_tol=args.tolerance
-    )
-    net = _network(instance, args.network)
+    instance = _load(args)
+    net = instance.network(args.network)
     outputs = [substitute(instance.aux * psi, net) for psi in instance.states]
     _emit(
         {
@@ -85,15 +86,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_condition(args) -> int:
-    instance = load_instance(
-        args.instance, photon_cap=args.photon_cap, unitarity_tol=args.tolerance
-    )
+    instance = _load(args)
     measured = args.measure or instance.measure
     if measured is None:
         raise SchemaError("no measured mode: pass --measure or set 'measure'")
     if measured not in instance.registry:
         raise SchemaError(f"measured mode {measured!r} not in instance modes")
-    net = _network(instance, args.network)
+    net = instance.network(args.network)
     conditionals = []
     for psi in instance.states:
         total = substitute(instance.aux * psi, net)
@@ -118,9 +117,7 @@ def _cmd_condition(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    instance = load_instance(
-        args.instance, photon_cap=args.photon_cap, unitarity_tol=args.tolerance
-    )
+    instance = _load(args)
     if instance.strategy is None:
         raise SchemaError("instance has no 'strategy' to check")
     disc = DiscriminationInstance(
@@ -149,9 +146,7 @@ def _cmd_verify_nogo(args) -> int:
         max_photons=args.max_photons,
         max_aux_photons=args.max_aux_photons,
     )
-    _emit(result.to_dict(), args.out)
-    print(result.summary(), file=sys.stderr)
-    return EXIT_OK if result.all_passed else EXIT_SUITE_FAILED
+    return _emit_suite(result, "verify-nogo", "2", args.out)
 
 
 def _cmd_oracle_check(args) -> int:
@@ -161,9 +156,7 @@ def _cmd_oracle_check(args) -> int:
         max_modes=args.max_modes,
         max_photons=args.max_photons,
     )
-    _emit(result.to_dict(), args.out)
-    print(result.summary(), file=sys.stderr)
-    return EXIT_OK if result.all_passed else EXIT_SUITE_FAILED
+    return _emit_suite(result, "oracle-check", "1", args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,14 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StrategyError
-from .measurement import CascadeStage, OutcomeNode, run_cascade, validate_strategy
+from .measurement import ZERO_WEIGHT_TOL, CascadeStage, OutcomeNode, run_cascade, validate_strategy
 from .network import LinearNetwork
 from .nogo import verify_no_go, _check_aux, _check_states
 from .poly import CreationPolynomial, report_value, vacuum_inner_product, vacuum_norm_sq
 
 INPUT_ORTHOGONALITY_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-9
-VACUOUS_WEIGHT_TOL = 1e-12
 PROBE_SLACK = 1e-8
 
 
@@ -71,7 +70,7 @@ class PairOutcomeRecord:
     weight_i: float
     weight_j: float
     orthogonal: bool     # inner-product test at scaled tolerance
-    vacuous: bool        # some weight below the vacuous threshold
+    vacuous: bool        # some weight below ZERO_WEIGHT_TOL
     distinguished: bool  # vacuous or orthogonal
 
 
@@ -115,7 +114,7 @@ def _stage_report(root: OutcomeNode, measured: str) -> StageReport:
                 inner = vacuum_inner_product(state_i, state_j)
                 scale = math.sqrt(vacuum_norm_sq(state_i) * vacuum_norm_sq(state_j))
                 orthogonal = abs(inner) <= ORTHOGONALITY_TOL * max(scale, 1.0)
-                vacuous = min(weight_i, weight_j) < VACUOUS_WEIGHT_TOL
+                vacuous = min(weight_i, weight_j) < ZERO_WEIGHT_TOL
                 records.append(
                     PairOutcomeRecord(
                         i=i,
@@ -178,7 +177,7 @@ def cascade_discrimination(instance: DiscriminationInstance) -> CascadeReport:
     root = run_cascade(states, instance.strategy, aux)
     leaves = []
     for leaf in root.leaves():
-        reachable = tuple(k for k, p in enumerate(leaf.probabilities) if p >= VACUOUS_WEIGHT_TOL)
+        reachable = tuple(k for k, p in enumerate(leaf.probabilities) if p >= ZERO_WEIGHT_TOL)
         if reachable and not leaf.covered:
             raise StrategyError(
                 f"strategy leaves reachable outcome history {leaf.history} uncovered"

@@ -30,7 +30,7 @@ from collections.abc import Mapping
 from .errors import PhotonCapError, SchemaError, UnitarityViolation
 from .measurement import CascadeStage, strategy_from_dict
 from .modes import DEFAULT_PHOTON_CAP, ModeRegistry
-from .network import CONSTRUCTION_TOL, LinearNetwork, network_from_dict
+from .network import CONSTRUCTION_TOL, LinearNetwork, _is_real, identity, network_from_dict
 from .poly import CreationPolynomial
 
 _TOP_FIELDS = {
@@ -58,7 +58,11 @@ class Instance:
     measure: str | None
 
     def network(self, name: str | None = None) -> LinearNetwork:
+        """The named network, or the instance's own; the identity only when
+        neither a name nor any network is given."""
         if name is None:
+            if not self.networks:
+                return identity(self.registry)
             if "main" in self.networks:
                 return self.networks["main"]
             if len(self.networks) == 1:
@@ -98,23 +102,22 @@ def _check_poly_dict(data, where: str) -> None:
             f"{where}.terms[{k}].exp must be nonnegative integers",
         )
         for key in ("re", "im"):
-            _require(
-                isinstance(term[key], (int, float)) and not isinstance(term[key], bool),
-                f"{where}.terms[{k}].{key} must be a number",
-            )
+            _require(_is_real(term[key]), f"{where}.terms[{k}].{key} must be a number")
 
 
 def _poly_from_dict(data, registry: ModeRegistry, where: str) -> CreationPolynomial:
-    """One polynomial of the file: a SchemaError when it is malformed, a
-    PhotonCapError when it is over the cap, each starting with ``where``."""
+    """One polynomial of the file: a SchemaError when it is malformed or zero,
+    a PhotonCapError when it is over the cap, each starting with ``where``."""
     _check_poly_dict(data, where)
     try:
-        return CreationPolynomial.from_dict(data, registry)
+        poly = CreationPolynomial.from_dict(data, registry)
     except PhotonCapError as exc:
         exc.args = (f"{where}: {exc}",)
         raise
     except (ValueError, TypeError, OverflowError) as exc:
         raise SchemaError(f"{where}: {exc}") from None
+    _require(not poly.is_zero(), f"{where} is the zero polynomial")
+    return poly
 
 
 def parse_instance(

@@ -12,7 +12,7 @@ from .measurement import expand_by_mode
 from .network import random_network, substitute
 from .nogo import NoGoReport, verify_no_go
 from .modes import ModeRegistry
-from .poly import report_value, vacuum_norm_sq
+from .poly import vacuum_norm_sq
 from .sampling import random_aux_state, random_nogo_instance
 
 SIZE_CAPS = {
@@ -64,9 +64,6 @@ class NoGoSuiteResult:
             more = f" and {len(failing) - 10} more" if len(failing) > 10 else ""
             text += f"; failing instances {failing[:10]}{more}"
         return text
-
-    def to_dict(self) -> dict:
-        return {"schema_version": "2", "suite": "verify-nogo", **report_value(self)}
 
 
 def run_nogo_suite(
@@ -151,9 +148,6 @@ class OracleSuiteResult:
             f"{self.max_overlap_deviation:.3e} ({self.elapsed_seconds:.1f}s); worst "
             f"instance {self.worst_instance} with deviation {self.worst_deviation:.3e}"
         )
-
-    def to_dict(self) -> dict:
-        return {"schema_version": "1", "suite": "oracle-check", **report_value(self)}
 
 
 def run_oracle_suite(

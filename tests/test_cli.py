@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import copy
+import inspect
 import io
 import json
 import math
@@ -87,6 +88,11 @@ class TestSimulate:
         assert main(["simulate", str(path)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_unreadable_path_exits_2(self, tmp_path, capsys):
+        assert main(["simulate", str(tmp_path / "missing.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read") and err.count("\n") == 1, err
+
     def test_unknown_field_exits_2(self, tmp_path, capsys):
         payload = pair_instance(IDENTITY_JSON)
         payload["surprise"] = True
@@ -127,6 +133,15 @@ class TestSimulate:
         ]
         assert main(["simulate", path, "--network", "missing"]) == 2
         assert main(["simulate", path]) == 2  # ambiguous without a name
+
+    def test_the_only_network_is_used_without_a_name(self, tmp_path, capsys):
+        payload = pair_instance(HADAMARD_JSON)
+        del payload["network"]
+        payload["networks"] = {"a": HADAMARD_JSON}
+        assert main(["simulate", write(tmp_path, "named.json", payload)]) == 0
+        named = capsys.readouterr().out
+        assert main(["simulate", write(tmp_path, "main.json", pair_instance(HADAMARD_JSON))]) == 0
+        assert named == capsys.readouterr().out
 
 
 class TestCondition:
@@ -365,6 +380,9 @@ class TestVerifyNogo:
     def test_size_cap_exits_4(self):
         assert main(["verify-nogo", "--count", "2", "--max-photons", "9"]) == 4
 
+    def test_aux_photons_below_zero_exits_4(self):
+        assert main(["verify-nogo", "--count", "2", "--max-aux-photons", "-1"]) == 4
+
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.json"
         assert main(["verify-nogo", "--count", "1", "--out", str(out)]) == 2
@@ -386,6 +404,14 @@ class TestOracleCheck:
             f"worst instance {result.worst_instance} with deviation {result.worst_deviation:.3e}"
         )
         assert "worst" not in out.read_text()
+
+    @pytest.mark.parametrize(
+        "flags", [["--count", "0"], ["--max-modes", "7"]], ids=["count-0", "modes-7"]
+    )
+    def test_outside_the_caps_exits_4(self, capsys, flags):
+        assert main(["oracle-check"] + flags) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_names_the_instance_where_the_largest_deviation_first_appears(self):
         # The suite draws its instances in order from one stream, so a prefix
@@ -533,6 +559,34 @@ class TestMalformedInputs:
             ["condition", "--outcome", "1", "--network", "nosuch"],
             {"modes": ["m1", "m2"], "states": [_photon_terms((1, 1))], "measure": "m1"},
         ),
+        "zero-aux": (
+            ["simulate"],
+            _with(
+                pair_instance(IDENTITY_JSON),
+                modes=["m1", "m2", "b"],
+                states=[_photon_terms((1, 1, 0))],
+                network={"elements": []},
+                aux={"terms": []},
+            ),
+        ),
+        "cancelling-state": (
+            ["simulate"],
+            _with(
+                pair_instance(IDENTITY_JSON),
+                states=[{"terms": [{"exp": [1, 1], "re": 1.0, "im": 0.0},
+                                   {"exp": [1, 1], "re": -1.0, "im": 0.0}]}],
+            ),
+        ),
+        "measured-mode-not-in-the-instance": (
+            ["condition", "--outcome", "1", "--measure", "zz"],
+            pair_instance(IDENTITY_JSON),
+        ),
+        "negative-outcome": (["condition", "--outcome", "-1"], pair_instance(IDENTITY_JSON)),
+        "matrix-not-a-list-of-rows": (["simulate"], pair_instance({"matrix": [1, 2]})),
+        "duplicate-mode-labels": (
+            ["simulate"],
+            _with(pair_instance(IDENTITY_JSON), modes=["m1", "m1"]),
+        ),
         "network-and-networks-main": (
             ["simulate"],
             _with(pair_instance(HADAMARD_JSON), networks={"main": {"elements": []}}),
@@ -558,6 +612,23 @@ class TestMalformedInputs:
         assert main(command + [path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["simulate"], ["condition", "--outcome", "1"], ["check"]],
+        ids=["simulate", "condition", "check"],
+    )
+    @pytest.mark.parametrize("where", ["aux", "states[1]"])
+    def test_zero_polynomial_is_named(self, tmp_path, capsys, command, where):
+        # Rejected when the file is read, the same way for every command.
+        cancelling = [{"exp": [1, 0, 0], "re": s, "im": 0.0} for s in (1.0, -1.0)]
+        payload = copy.deepcopy(FUZZ_BASE)
+        if where == "aux":
+            payload["aux"] = {"terms": []}
+        else:
+            payload["states"][1] = {"terms": cancelling}
+        assert main(command + [write(tmp_path, "inst.json", payload)]) == 2
+        assert capsys.readouterr().err == f"error: {where} is the zero polynomial\n"
 
     @pytest.mark.parametrize(
         "value, network",
@@ -898,6 +969,22 @@ README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 def _long_options(parser):
     return {o for a in parser._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+
+
+class TestSuiteDefaults:
+    @pytest.mark.parametrize(
+        "command, runner",
+        [("verify-nogo", suites.run_nogo_suite), ("oracle-check", suites.run_oracle_suite)],
+    )
+    def test_parser_defaults_match_the_runner(self, command, runner):
+        # Each default is declared in build_parser and in the runner's
+        # signature; every flag must name a parameter with the same default.
+        # The runner's tol has no flag.
+        args = vars(cli.build_parser().parse_args([command]))
+        unrelated = {"photon_cap", "tolerance", "command", "func", "out"}
+        flags = {k: v for k, v in args.items() if k not in unrelated}
+        params = inspect.signature(runner).parameters
+        assert flags == {name: p.default for name, p in params.items() if name != "tol"}
 
 
 class TestReadmeSynopsis:

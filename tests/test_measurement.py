@@ -503,6 +503,19 @@ class TestStrategyValidation:
         )
         validate_strategy(stage, REG2, max_photons=2)
 
+    @pytest.mark.parametrize(
+        "stage",
+        [
+            CascadeStage(measure="c", network=from_matrix(np.eye(2), ModeRegistry(("x", "y")))),
+            CascadeStage(measure="c", branches={"1": "leaf"}),
+            CascadeStage(measure="c", branches={0: 5}),
+        ],
+        ids=["network-on-other-modes", "string-key", "branch-neither-stage-nor-label"],
+    )
+    def test_malformed_stage(self, stage):
+        with pytest.raises(StrategyError):
+            validate_strategy(stage, REG2, max_photons=2)
+
     def test_from_dict_round(self):
         data = {
             "measure": "c",
