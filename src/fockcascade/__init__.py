@@ -30,7 +30,6 @@ from .network import (
     from_matrix,
     haar_random_unitary,
     identity,
-    network_from_dict,
     phase_shifter,
     random_network,
     substitute,
@@ -44,9 +43,9 @@ from .measurement import (
     expand_by_mode,
     outcome_distribution,
     run_cascade,
-    strategy_from_dict,
     validate_strategy,
 )
+from .instancefile import network_from_dict, strategy_from_dict
 from .fockdense import (
     FockBasis,
     apply_network_dense,

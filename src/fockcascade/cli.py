@@ -129,8 +129,8 @@ def _cmd_check(args) -> int:
             "schema_version": SCHEMA_VERSION,
             "command": "check",
             "verdict": cascade.verdict,
-            "cascade": cascade.to_dict(),
-            "root_stage": cascade.root_stage.to_dict(),
+            "cascade": report_value(cascade),
+            "root_stage": report_value(cascade.root_stage),
         },
         args.out,
     )

@@ -26,7 +26,7 @@ from .errors import StrategyError
 from .measurement import ZERO_WEIGHT_TOL, CascadeStage, OutcomeNode, run_cascade, validate_strategy
 from .network import LinearNetwork
 from .nogo import verify_no_go, _check_aux, _check_states
-from .poly import CreationPolynomial, report_value, vacuum_inner_product, vacuum_norm_sq
+from .poly import CreationPolynomial, vacuum_inner_product, vacuum_norm_sq
 
 INPUT_ORTHOGONALITY_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-9
@@ -80,9 +80,6 @@ class StageReport:
     max_outcome: int
     records: tuple[PairOutcomeRecord, ...]
     verdict: bool
-
-    def to_dict(self) -> dict:
-        return report_value(self)
 
 
 def stage_orthogonality(
@@ -155,9 +152,6 @@ class CascadeReport:
     def ambiguous_leaves(self) -> tuple[LeafRecord, ...]:
         return tuple(leaf for leaf in self.leaves if leaf.ambiguous)
 
-    def to_dict(self) -> dict:
-        return report_value(self)
-
 
 def cascade_discrimination(instance: DiscriminationInstance) -> CascadeReport:
     """Run the strategy once on the candidate set and judge its leaves.
@@ -209,9 +203,6 @@ class ProbeReport:
     diagonal_value: float
     pairs: tuple[PairProbe, ...]
     all_hold: bool
-
-    def to_dict(self) -> dict:
-        return report_value(self)
 
 
 def necessity_probe(

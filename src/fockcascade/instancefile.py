@@ -1,4 +1,4 @@
-"""Loading and validation of problem-instance JSON files.
+"""The reader of problem-instance JSON files, the only reader of the format.
 
 An instance file declares the mode registry, the candidate system states, an
 optional auxiliary state, and whatever networks or strategy the command needs:
@@ -16,36 +16,44 @@ optional auxiliary state, and whatever networks or strategy the command needs:
     }
 
 Polynomial objects follow the standard serialization ({"terms": [{"exp", "re",
-"im"}]}); their "modes" field may be omitted inside an instance file, in which
-case the instance registry applies.  Unknown fields anywhere are rejected.
+"im"}]}); their "modes" field may be omitted, and must equal the instance's
+when given.  A network is ``{"matrix": [[{re, im}, ...], ...]}`` or
+``{"elements": [...]}``, each element ``{"bs": {"theta", "phi", "i", "j"}}``
+(``phi`` defaults to 0) or ``{"ps": {"phi", "i"}}``, composed left to right.
+A strategy stage is ``{"network": ... | null, "measure": ..., "branches":
+{"<N>": <stage or leaf label>}}``.  Unknown fields anywhere are rejected, and
+every number must be finite as a double.
+
+Each part of the file is read with its location, built as the walk goes down
+(``states[0].terms[2]``, ``networks[y].matrix``,
+``strategy.branches[0].network.elements[1].bs``), and every error names it.
+Messages are formatted only on failure.  A strategy stage's own errors are
+StrategyError, all others SchemaError; an error raised by a constructor gets
+its location in :func:`_built`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from collections.abc import Mapping
+from dataclasses import dataclass
 
-from .errors import PhotonCapError, SchemaError, UnitarityViolation
-from .measurement import CascadeStage, strategy_from_dict
+from .errors import PhotonCapError, SchemaError, StrategyError, UnitarityViolation
+from .measurement import Branch, CascadeStage
 from .modes import DEFAULT_PHOTON_CAP, ModeRegistry
-from .network import CONSTRUCTION_TOL, LinearNetwork, _is_real, identity, network_from_dict
+from .network import CONSTRUCTION_TOL, LinearNetwork, beam_splitter, compose, identity, phase_shifter
 from .poly import CreationPolynomial
 
-_TOP_FIELDS = {
-    "modes",
-    "system_modes",
-    "aux_modes",
-    "states",
-    "aux",
-    "network",
-    "networks",
-    "strategy",
-    "measure",
-}
-_POLY_FIELDS = {"modes", "terms"}
-_TERM_FIELDS = {"exp", "re", "im"}
+_TOP_FIELDS = frozenset(
+    {"modes", "system_modes", "aux_modes", "states", "aux", "network", "networks", "strategy", "measure"}
+)
+_POLY_FIELDS = frozenset({"modes", "terms"})
+_TERM_FIELDS = frozenset({"exp", "re", "im"})
+_ENTRY_FIELDS = frozenset({"re", "im"})
+_BS_FIELDS = frozenset({"theta", "phi", "i", "j"})
+_PS_FIELDS = frozenset({"phi", "i"})
+_STAGE_FIELDS = frozenset({"network", "measure", "branches"})
 
 
 @dataclass(frozen=True)
@@ -84,40 +92,185 @@ def _require(condition: bool, message: str) -> None:
         raise SchemaError(message)
 
 
-def _check_poly_dict(data, where: str) -> None:
-    _require(isinstance(data, Mapping), f"{where} must be an object")
-    unknown = set(data) - _POLY_FIELDS
-    _require(not unknown, f"{where} has unknown fields {sorted(unknown)}")
-    _require("terms" in data, f"{where} needs a 'terms' list")
-    _require(isinstance(data["terms"], list), f"{where}.terms must be a list")
-    for k, term in enumerate(data["terms"]):
-        _require(isinstance(term, Mapping), f"{where}.terms[{k}] must be an object")
-        unknown = set(term) - _TERM_FIELDS
-        _require(not unknown, f"{where}.terms[{k}] has unknown fields {sorted(unknown)}")
-        for key in _TERM_FIELDS:
-            _require(key in term, f"{where}.terms[{k}] needs '{key}'")
-        _require(
-            isinstance(term["exp"], list)
-            and all(isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in term["exp"]),
-            f"{where}.terms[{k}].exp must be nonnegative integers",
-        )
-        for key in ("re", "im"):
-            _require(_is_real(term[key]), f"{where}.terms[{k}].{key} must be a number")
+def _fields(data, where: str, allowed, required=(), error=SchemaError, what="fields") -> Mapping:
+    """``data``, when it is an object with every ``required`` field and no
+    field outside ``allowed``; an unknown field is reported as an unknown
+    ``what``."""
+    if not isinstance(data, Mapping):
+        raise error(f"{where} must be an object")
+    unknown = data.keys() - allowed
+    if unknown:
+        raise error(f"{where}: unknown {what} {sorted(unknown)}")
+    for key in required:
+        if key not in data:
+            raise error(f"{where} needs '{key}'")
+    return data
 
 
-def _poly_from_dict(data, registry: ModeRegistry, where: str) -> CreationPolynomial:
-    """One polynomial of the file: a SchemaError when it is malformed or zero,
-    a PhotonCapError when it is over the cap, each starting with ``where``."""
-    _check_poly_dict(data, where)
+def _one_of(data, where: str, choices: tuple[str, str]) -> str:
+    """The one field of ``choices`` that ``data``, an object with no other
+    field, holds."""
+    _fields(data, where, choices)
+    present = [key for key in choices if key in data]
+    if len(present) != 1:
+        raise SchemaError(f"{where} needs exactly one of {choices[0]!r} or {choices[1]!r}")
+    return present[0]
+
+
+def _number(data: Mapping, key: str, where: str) -> float:
+    """Field ``key`` of the object at ``where`` as a float: a JSON number, not
+    a boolean, finite as a double.  A missing field reads 0."""
+    value = data.get(key, 0.0)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise SchemaError(f"{where}.{key} must be a finite number")
+
+
+def _mode(label, where: str, registry: ModeRegistry, error=SchemaError) -> str:
+    if isinstance(label, str) and label in registry:
+        return label
+    raise error(f"{where} names {label!r}, not one of the modes {registry.labels}")
+
+
+def _built(where: str, make, *args):
+    """``make(*args)``, with ``where`` in front of the message of any error it
+    raises.  A ValueError becomes a SchemaError; a UnitarityViolation or
+    PhotonCapError keeps its type, and so its exit code."""
     try:
-        poly = CreationPolynomial.from_dict(data, registry)
-    except PhotonCapError as exc:
+        return make(*args)
+    except (UnitarityViolation, PhotonCapError) as exc:
         exc.args = (f"{where}: {exc}",)
         raise
-    except (ValueError, TypeError, OverflowError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from None
-    _require(not poly.is_zero(), f"{where} is the zero polynomial")
+
+
+def _poly(data, registry: ModeRegistry, where: str) -> CreationPolynomial:
+    """One polynomial of the file; a SchemaError when it is malformed or zero."""
+    _fields(data, where, _POLY_FIELDS, ("terms",))
+    if "modes" in data and data["modes"] != list(registry.labels):
+        raise SchemaError(f"{where}.modes must be the instance modes {list(registry.labels)}")
+    raw = data["terms"]
+    if not isinstance(raw, list):
+        raise SchemaError(f"{where}.terms must be a list")
+    terms: dict[tuple[int, ...], complex] = {}
+    for k, term in enumerate(raw):
+        at = f"{where}.terms[{k}]"
+        _fields(term, at, _TERM_FIELDS, ("exp", "re", "im"))
+        exps = term["exp"]
+        if not (
+            isinstance(exps, list)
+            and all(isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in exps)
+        ):
+            raise SchemaError(f"{at}.exp must be nonnegative integers")
+        key = tuple(exps)
+        coeff = complex(_number(term, "re", at), _number(term, "im", at))
+        terms[key] = terms.get(key, 0.0) + coeff
+    poly = _built(where, CreationPolynomial, registry, terms)
+    if poly.is_zero():
+        raise SchemaError(f"{where} is the zero polynomial")
     return poly
+
+
+def _entry(cell, where: str, r: int, c: int) -> complex:
+    """Entry ``[r][c]`` of the matrix of the network at ``where``.  The form a
+    file holds, two finite floats, is taken at once; any other goes through
+    the checks that report, and only then is the entry's location formatted."""
+    if type(cell) is dict and cell.keys() == _ENTRY_FIELDS:
+        re, im = cell["re"], cell["im"]
+        if type(re) is float and type(im) is float and math.isfinite(re) and math.isfinite(im):
+            return complex(re, im)
+    at = f"{where}.matrix[{r}][{c}]"
+    _fields(cell, at, _ENTRY_FIELDS, ("re", "im"))
+    return complex(_number(cell, "re", at), _number(cell, "im", at))
+
+
+def _network(data, registry: ModeRegistry, tol: float, where: str) -> LinearNetwork:
+    if _one_of(data, where, ("matrix", "elements")) == "matrix":
+        rows = data["matrix"]
+        if not (
+            isinstance(rows, list)
+            and all(isinstance(row, list) and len(row) == len(rows) for row in rows)
+        ):
+            raise SchemaError(f"{where}.matrix must be a square list of rows")
+        entries = [
+            [_entry(cell, where, r, c) for c, cell in enumerate(row)] for r, row in enumerate(rows)
+        ]
+        return _built(where, LinearNetwork, entries, registry, tol)
+    elements = data["elements"]
+    if not isinstance(elements, list):
+        raise SchemaError(f"{where}.elements must be a list")
+    net = identity(registry)
+    for k, element in enumerate(elements):
+        kind = _one_of(element, f"{where}.elements[{k}]", ("bs", "ps"))
+        at = f"{where}.elements[{k}].{kind}"
+        if kind == "bs":
+            spec = _fields(element[kind], at, _BS_FIELDS, ("theta", "i", "j"))
+            make, args = beam_splitter, (
+                _number(spec, "theta", at),
+                _number(spec, "phi", at),
+                _mode(spec["i"], f"{at}.i", registry),
+                _mode(spec["j"], f"{at}.j", registry),
+            )
+        else:
+            spec = _fields(element[kind], at, _PS_FIELDS, ("phi", "i"))
+            make, args = phase_shifter, (
+                _number(spec, "phi", at),
+                _mode(spec["i"], f"{at}.i", registry),
+            )
+        net = _built(at, lambda: compose(net, make(*args, registry)))
+    return net
+
+
+def network_from_dict(
+    data: Mapping, registry: ModeRegistry, tol: float = CONSTRUCTION_TOL
+) -> LinearNetwork:
+    """A network from its JSON form (see the module docstring); its errors
+    are located from ``network``."""
+    return _network(data, registry, tol, "network")
+
+
+def _stage(data, registry: ModeRegistry, tol: float, where: str) -> CascadeStage:
+    """One stage of :func:`strategy_from_dict`; ``where`` is its branch path
+    from the root."""
+    _fields(data, where, _STAGE_FIELDS, ("measure",), StrategyError, "strategy fields")
+    measure = _mode(data["measure"], f"{where}.measure", registry, StrategyError)
+    net = None
+    if data.get("network") is not None:
+        net = _network(data["network"], registry, tol, f"{where}.network")
+    raw = data.get("branches", {})
+    if not isinstance(raw, Mapping):
+        raise StrategyError(f"{where}.branches must be an object")
+    reduced = registry.without(measure)
+    branches: dict[int, Branch] = {}
+    for key, value in raw.items():
+        # Canonical decimal only: "1" and "01" must not both name outcome 1.
+        try:
+            n = int(key)
+            if n < 0 or str(n) != key:
+                raise ValueError(key)
+        except (TypeError, ValueError):
+            raise StrategyError(f"{where}: branch key {key!r} is not a photon count") from None
+        if isinstance(value, str):
+            branches[n] = value
+        elif isinstance(value, Mapping):
+            branches[n] = _stage(value, reduced, tol, f"{where}.branches[{key}]")
+        else:
+            raise StrategyError(f"{where}.branches[{key}] must be a label or a stage object")
+    return CascadeStage(measure=measure, network=net, branches=branches)
+
+
+def strategy_from_dict(
+    data: Mapping, registry: ModeRegistry, tol: float = CONSTRUCTION_TOL
+) -> CascadeStage:
+    """A cascade strategy from its JSON form (see the module docstring); its
+    errors are located from ``strategy``."""
+    return _stage(data, registry, tol, "strategy")
 
 
 def parse_instance(
@@ -127,16 +280,13 @@ def parse_instance(
 ) -> Instance:
     """Validate a decoded instance object and build the typed pieces.
 
-    Raises SchemaError on structural problems and on a tolerance that is
-    negative or not finite.  A non-unitary matrix surfaces as
-    UnitarityViolation from the network constructor, and an occupation over
-    the cap as PhotonCapError; both are left to the caller to map onto an
-    exit code.
+    Raises SchemaError or StrategyError on structural problems, and
+    SchemaError on a tolerance that is negative or not finite.  A non-unitary
+    matrix surfaces as UnitarityViolation from the network constructor, and
+    an occupation over the cap as PhotonCapError; both are left to the caller
+    to map onto an exit code.
     """
-    _require(isinstance(data, Mapping), "instance must be a JSON object")
-    unknown = set(data) - _TOP_FIELDS
-    _require(not unknown, f"instance has unknown fields {sorted(unknown)}")
-    _require("modes" in data, "instance needs a 'modes' list")
+    _fields(data, "instance", _TOP_FIELDS, ("modes", "states"))
     _require(
         isinstance(data["modes"], list)
         and data["modes"]
@@ -152,16 +302,13 @@ def parse_instance(
         f"--tolerance must be a finite number, at least 0, got {unitarity_tol}",
     )
 
-    _require("states" in data, "instance needs a 'states' list")
     _require(
         isinstance(data["states"], list) and data["states"],
         "'states' must be a non-empty list",
     )
-    states = [
-        _poly_from_dict(raw, registry, f"states[{k}]") for k, raw in enumerate(data["states"])
-    ]
+    states = [_poly(raw, registry, f"states[{k}]") for k, raw in enumerate(data["states"])]
     if "aux" in data:
-        aux = _poly_from_dict(data["aux"], registry, "aux")
+        aux = _poly(data["aux"], registry, "aux")
     else:
         aux = CreationPolynomial.constant(registry, 1.0)
 
@@ -169,12 +316,9 @@ def parse_instance(
     for field_name, polys in (("system_modes", states), ("aux_modes", [aux])):
         if field_name in data:
             value = data[field_name]
-            _require(
-                isinstance(value, list) and all(isinstance(m, str) for m in value),
-                f"'{field_name}' must be a list of mode labels",
-            )
-            for label in value:
-                _require(label in registry, f"{field_name} entry {label!r} not in modes")
+            _require(isinstance(value, list), f"'{field_name}' must be a list of mode labels")
+            for k, label in enumerate(value):
+                _mode(label, f"{field_name}[{k}]", registry)
             occupied = set().union(*(p.support() for p in polys))
             uncovered = sorted(occupied - set(value))
             _require(not uncovered, f"'{field_name}' leaves occupied modes {uncovered} out")
@@ -185,7 +329,7 @@ def parse_instance(
 
     networks: dict[str, LinearNetwork] = {}
     if "network" in data:
-        networks["main"] = network_from_dict(data["network"], registry, unitarity_tol)
+        networks["main"] = _network(data["network"], registry, unitarity_tol, "network")
     if "networks" in data:
         _require(isinstance(data["networks"], Mapping), "'networks' must be an object")
         _require(
@@ -193,20 +337,15 @@ def parse_instance(
             "'network' and 'networks.main' both define the main network; keep one",
         )
         for name, raw in data["networks"].items():
-            try:
-                networks[str(name)] = network_from_dict(raw, registry, unitarity_tol)
-            except (SchemaError, UnitarityViolation) as exc:
-                exc.args = (f"networks[{name}]: {exc}",)
-                raise
+            networks[str(name)] = _network(raw, registry, unitarity_tol, f"networks[{name}]")
 
     strategy = None
     if "strategy" in data:
-        strategy = strategy_from_dict(data["strategy"], registry, unitarity_tol)
+        strategy = _stage(data["strategy"], registry, unitarity_tol, "strategy")
 
     measure = data.get("measure")
     if measure is not None:
-        _require(isinstance(measure, str), "'measure' must be a mode label")
-        _require(measure in registry, f"measure mode {measure!r} not in modes")
+        _mode(measure, "measure", registry)
 
     return Instance(
         registry=registry,

@@ -15,7 +15,8 @@ probability is
 Weights over all N sum to one.  :func:`run_cascade` iterates the procedure on
 a whole set of input states at once: mix the surviving modes in a network,
 measure one mode, and pick the next stage (or a decision label) based on the
-outcome, keeping zero-probability branches in the tree but flagged.
+outcome, keeping zero-probability branches in the tree but flagged.  The JSON
+form of a strategy is read by ``instancefile``.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from typing import Union
 
-from .errors import PhotonCapError, SchemaError, StrategyError, UnitarityViolation, ZeroStateError
+from .errors import PhotonCapError, StrategyError, ZeroStateError
 from .modes import ModeRegistry
-from .network import CONSTRUCTION_TOL, LinearNetwork, network_from_dict, substitute
-from .poly import _FACTORIAL, CreationPolynomial, Exponents, _mul_into, report_value, vacuum_norm_sq
+from .network import LinearNetwork, substitute
+from .poly import _FACTORIAL, CreationPolynomial, Exponents, _mul_into, vacuum_norm_sq
 
 
 @dataclass(frozen=True)
@@ -225,9 +226,6 @@ class OutcomeNode:
             out.extend(child.leaves())
         return out
 
-    def to_dict(self) -> dict:
-        return report_value(self)
-
 
 ZERO_WEIGHT_TOL = 1e-12
 
@@ -343,57 +341,3 @@ def _validate_stage(
             )
         elif not isinstance(branch, str):
             raise StrategyError(f"{where}: branch must be a stage or a label, got {branch!r}")
-
-
-def strategy_from_dict(
-    data: Mapping, registry: ModeRegistry, tol: float = CONSTRUCTION_TOL
-) -> CascadeStage:
-    """Recursive strategy JSON: {"network": ... | null, "measure": ...,
-    "branches": {"<N>": <stage or leaf label>}}."""
-    return _stage_from_dict(data, registry, tol, "strategy")
-
-
-def _stage_from_dict(
-    data: Mapping, registry: ModeRegistry, tol: float, where: str
-) -> CascadeStage:
-    """One stage of :func:`strategy_from_dict`; ``where`` is its branch path
-    from the root, which every error raised for this stage starts with."""
-    if not isinstance(data, Mapping):
-        raise StrategyError(f"{where}: strategy stage must be an object, got {data!r}")
-    allowed = {"network", "measure", "branches"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise StrategyError(f"{where}: unknown strategy fields {sorted(unknown)}")
-    measure = data.get("measure")
-    if not isinstance(measure, str) or measure not in registry:
-        raise StrategyError(
-            f"{where}: strategy measures {measure!r}, which is not one of the modes "
-            f"{registry.labels} still available"
-        )
-    net = None
-    if data.get("network") is not None:
-        try:
-            net = network_from_dict(data["network"], registry, tol)
-        except (SchemaError, UnitarityViolation) as exc:
-            exc.args = (f"{where}: {exc}",)
-            raise
-    branches: dict[int, Branch] = {}
-    reduced = registry.without(measure)
-    raw_branches = data.get("branches", {})
-    if not isinstance(raw_branches, Mapping):
-        raise StrategyError(f"{where}: strategy branches must be an object, got {raw_branches!r}")
-    for key, value in raw_branches.items():
-        # Canonical decimal only: "1" and "01" must not both name outcome 1.
-        try:
-            n = int(key)
-            if n < 0 or str(n) != key:
-                raise ValueError(key)
-        except (TypeError, ValueError):
-            raise StrategyError(f"{where}: branch key {key!r} is not a photon count") from None
-        if isinstance(value, str):
-            branches[n] = value
-        elif isinstance(value, Mapping):
-            branches[n] = _stage_from_dict(value, reduced, tol, f"{where}.branches[{key}]")
-        else:
-            raise StrategyError(f"{where}: branch {key!r} must be a label or a stage object")
-    return CascadeStage(measure=measure, network=net, branches=branches)

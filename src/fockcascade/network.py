@@ -9,22 +9,21 @@ combination of output creation operators,
 
 which preserves total photon number and vacuum norms.  Builders are provided
 for the elementary devices (beam splitter, phase shifter), plus composition
-and Haar-random sampling for tests.
+and Haar-random sampling for tests.  The JSON form is read by ``instancefile``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import SchemaError, UnitarityViolation
+from .errors import UnitarityViolation
 from .modes import ModeRegistry
 from .poly import CreationPolynomial, Exponents
 
 CONSTRUCTION_TOL = 1e-10
 COMPOSITION_TOL = 1e-8
-_NETWORK_FIELDS = {"matrix", "elements"}
 
 
 class LinearNetwork:
@@ -60,13 +59,6 @@ class LinearNetwork:
 
     def __repr__(self) -> str:
         return f"LinearNetwork({self.registry.size} modes)"
-
-    def to_dict(self) -> dict:
-        return {
-            "matrix": [
-                [{"re": z.real, "im": z.imag} for z in row] for row in self.matrix
-            ]
-        }
 
 
 def from_matrix(entries, registry: ModeRegistry) -> LinearNetwork:
@@ -217,81 +209,3 @@ def _times_image(
             raised = key + stride
             out[raised] = out.get(raised, 0.0) + coeff * u
     return out
-
-
-def network_from_dict(data: Mapping, registry: ModeRegistry, tol: float = CONSTRUCTION_TOL) -> LinearNetwork:
-    """Build a network from its JSON form.
-
-    Two shapes are accepted: ``{"matrix": [[{re, im}, ...], ...]}`` or
-    ``{"elements": [...]}`` where each element is ``{"bs": {"theta", "phi",
-    "i", "j"}}`` or ``{"ps": {"phi", "i"}}``, composed left to right.  An object
-    with both shapes, neither, or any other field raises SchemaError, for the
-    networks of an instance and of a strategy stage alike.
-    """
-    if not isinstance(data, Mapping):
-        raise SchemaError(f"network must be an object, got {data!r}")
-    unknown = set(data) - _NETWORK_FIELDS
-    if unknown:
-        raise SchemaError(f"network has unknown fields {sorted(unknown)}")
-    if ("matrix" in data) == ("elements" in data):
-        raise SchemaError("network needs exactly one of 'matrix' or 'elements'")
-    if "matrix" in data:
-        rows = data["matrix"]
-        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-            raise SchemaError("network 'matrix' must be a list of rows")
-        m = np.array([[_matrix_entry(cell) for cell in row] for row in rows])
-        return LinearNetwork(m, registry, tol)
-    if not isinstance(data["elements"], list):
-        raise SchemaError("network 'elements' must be a list")
-    net = identity(registry)
-    for element in data["elements"]:
-        kind, spec = _element_spec(element)
-        if kind == "bs":
-            stage = beam_splitter(
-                _element_angle(spec, "theta"),
-                _element_angle(spec, "phi", 0.0),
-                _element_mode(spec, "i", registry),
-                _element_mode(spec, "j", registry),
-                registry,
-            )
-        else:
-            stage = phase_shifter(
-                _element_angle(spec, "phi"), _element_mode(spec, "i", registry), registry
-            )
-        net = compose(net, stage)
-    return net
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _matrix_entry(cell) -> complex:
-    if not (isinstance(cell, Mapping) and _is_real(cell.get("re")) and _is_real(cell.get("im"))):
-        raise SchemaError(f"network matrix entry must be {{\"re\": x, \"im\": y}}, got {cell!r}")
-    return complex(cell["re"], cell["im"])
-
-
-def _element_spec(element) -> tuple[str, Mapping]:
-    """The kind (``bs`` or ``ps``) of a one-key network element and its fields."""
-    if isinstance(element, Mapping) and len(element) == 1:
-        ((kind, spec),) = element.items()
-        if kind in ("bs", "ps") and isinstance(spec, Mapping):
-            return kind, spec
-    raise SchemaError(f"unknown network element {element!r}: expected {{\"bs\": {{...}}}} or {{\"ps\": {{...}}}}")
-
-
-def _element_angle(spec: Mapping, key: str, default: float | None = None) -> float:
-    value = spec.get(key, default)
-    if not _is_real(value):
-        raise SchemaError(f"network element field {key!r} must be a real number, got {value!r}")
-    return float(value)
-
-
-def _element_mode(spec: Mapping, key: str, registry: ModeRegistry) -> str:
-    label = spec.get(key)
-    if not isinstance(label, str) or label not in registry:
-        raise SchemaError(
-            f"network element field {key!r} names {label!r}, not one of the modes {registry.labels}"
-        )
-    return label

@@ -82,7 +82,6 @@ from .network import LinearNetwork, measured_row_network, substitute
 from .poly import (
     CreationPolynomial,
     _ordering_weight,
-    report_value,
     vacuum_inner_product,
     vacuum_norm_sq,
 )
@@ -433,9 +432,6 @@ class NoGoReport:
     @property
     def max_residual(self) -> float:
         return max(p.residual for p in self.pairs)
-
-    def to_dict(self) -> dict:
-        return report_value(self)
 
 
 def verify_no_go(

@@ -291,20 +291,6 @@ class CreationPolynomial:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping, registry: ModeRegistry | None = None) -> "CreationPolynomial":
-        if registry is None:
-            registry = ModeRegistry(tuple(data["modes"]))
-        elif "modes" in data and tuple(data["modes"]) != registry.labels:
-            raise ValueError(
-                f"polynomial modes {data['modes']} do not match registry {registry.labels}"
-            )
-        terms: dict[Exponents, complex] = {}
-        for term in data["terms"]:
-            key = tuple(int(e) for e in term["exp"])
-            terms[key] = terms.get(key, 0.0) + complex(term["re"], term["im"])
-        return cls(registry, terms)
-
     def __repr__(self) -> str:
         if not self._terms:
             return "CreationPolynomial(0)"

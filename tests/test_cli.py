@@ -457,11 +457,45 @@ def single_photon_pair(branches):
     }
 
 
+@pytest.mark.filterwarnings("error")
 class TestMalformedInputs:
     """Each input defect ends on exit 2 with a one-line message, never on a
-    traceback, exit 1 or a silently wrong report."""
+    traceback, a warning, exit 1 or a silently wrong report."""
 
     CASES = {
+        "huge-int-matrix-entry": (
+            ["simulate"],
+            pair_instance(
+                {"matrix": [[{"re": 10**400, "im": 0}, {"re": 0.0, "im": 0.0}],
+                            [{"re": 0.0, "im": 0.0}, {"re": 1.0, "im": 0.0}]]}
+            ),
+        ),
+        "huge-int-theta": (
+            ["simulate"],
+            pair_instance({"elements": [{"bs": {"theta": 10**400, "i": "m1", "j": "m2"}}]}),
+        ),
+        "infinity-phi": (
+            ["simulate"],
+            pair_instance({"elements": [{"ps": {"phi": float("inf"), "i": "m1"}}]}),
+        ),
+        "unknown-element-field": (
+            ["simulate"],
+            pair_instance(
+                {"elements": [{"bs": {"theta": 0.5, "phi": 0.0, "i": "m1", "j": "m2", "oops": 1}}]}
+            ),
+        ),
+        "extra-matrix-cell-key": (
+            ["simulate"],
+            pair_instance(
+                {"matrix": [[{"re": 1.0, "im": 0.0, "x": 1}, {"re": 0.0, "im": 0.0}],
+                            [{"re": 0.0, "im": 0.0}, {"re": 1.0, "im": 0.0}]]}
+            ),
+        ),
+        "string-poly-modes": (
+            # As a tuple, "ab" would equal the modes ("a", "b").
+            ["simulate"],
+            {"modes": ["a", "b"], "states": [{"modes": "ab", **_photon_terms((1, 1))}]},
+        ),
         "unknown-measured-mode": (
             ["check"],
             {
@@ -771,6 +805,59 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: networks[b]: matrix is not unitary") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize(
+        "command, payload, line",
+        [
+            (
+                ["simulate", "--network", "x"],
+                {
+                    "modes": ["m1", "m2", "m3"],
+                    "states": [_photon_terms((1, 1, 0))],
+                    "networks": {"x": {"elements": []}, "y": IDENTITY_JSON},
+                },
+                "networks[y]: matrix shape (2, 2) does not match 3 modes",
+            ),
+            (
+                ["check"],
+                single_photon_pair(
+                    {"0": {"network": {"matrix": [[{"re": 1.0, "im": 0.0}], []]}, "measure": "m2"}}
+                ),
+                "strategy.branches[0].network.matrix must be a square list of rows",
+            ),
+            (
+                ["simulate", "--network", "y"],
+                {
+                    "modes": ["m1", "m2"],
+                    "states": [_photon_terms((1, 1))],
+                    "networks": {
+                        "x": {"elements": [{"bs": {"theta": 0.5, "i": "m1", "j": "m1"}}]},
+                        "y": IDENTITY_JSON,
+                    },
+                },
+                "networks[x].elements[0].bs: beam splitter needs two distinct modes",
+            ),
+            (
+                ["check"],
+                single_photon_pair({"1": {"network": {"elements": [
+                    {"ps": {"phi": 0.0, "i": "m2"}}, {"bs": {"theta": 0.1, "i": "m2", "j": "m1"}},
+                ]}, "measure": "m2"}}),
+                "strategy.branches[1].network.elements[1].bs.j names 'm1', not one of the modes ('m2',)",
+            ),
+            (
+                ["simulate"],
+                _with(pair_instance(IDENTITY_JSON), states=[
+                    _photon_terms((1, 1)), {"terms": [{"exp": [1, 1], "re": 1.0, "im": None}]},
+                ]),
+                "states[1].terms[0].im must be a finite number",
+            ),
+        ],
+        ids=["networks-y-shape", "ragged-stage-matrix", "same-mode-splitter", "stage-element",
+             "term-coefficient"],
+    )
+    def test_error_names_its_location(self, tmp_path, capsys, command, payload, line):
+        assert main(command + [write(tmp_path, "inst.json", payload)]) == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
+
     def test_declared_roles_that_cover_the_states_are_accepted(self, tmp_path):
         payload = _with(
             pair_instance(IDENTITY_JSON),
@@ -899,7 +986,9 @@ FUZZ_BASE = {
         "branches": {"0": {"measure": "b", "branches": {"0": "x", "1": "y"}}, "1": "z"},
     },
 }
-FUZZ_VALUES = [None, True, False, -3, 10**30, float("nan"), "x", [], {}, [[1, [2.5]]]]
+FUZZ_VALUES = [
+    None, True, False, -3, 10**30, 10**400, float("nan"), float("inf"), "x", [], {}, [[1, [2.5]]],
+]
 FUZZ_BRANCH_KEYS = ["01", " 1", "1_0"]  # spellings of a photon count that are not canonical
 FUZZ_COMMANDS = (["check"], ["simulate"], ["condition", "--outcome", "1"])
 
@@ -920,9 +1009,10 @@ def _run(argv):
     return code, err.getvalue()
 
 
+@pytest.mark.filterwarnings("error")
 class TestMutatedInstances:
     """Every mutation of a valid instance ends on a documented exit code with
-    at most one stderr line, never on a traceback."""
+    at most one stderr line, never on a traceback or a warning."""
 
     def test_base_instance_runs(self, tmp_path):
         path = write(tmp_path, "inst.json", FUZZ_BASE)

@@ -64,3 +64,46 @@ def test_import_leaves_sparse_linalg_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert run.stdout.strip() == "False"
+
+
+def identifiers(tree: ast.AST) -> set[str]:
+    """Every identifier a module names: read, imported, defined or taken as an
+    attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.alias):
+            out.add(node.asname or node.name)
+            out.add(node.name)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+    return out
+
+
+def _modules():
+    return {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+
+
+def test_only_the_file_reader_and_the_cli_name_schema_error():
+    # The math modules raise their own errors; only the instance-file reader
+    # (and the CLI, for its own input errors) reports a schema error.
+    naming = {name for name, tree in _modules().items() if "SchemaError" in identifiers(tree)}
+    assert naming <= {"errors.py", "__init__.py", "cli.py", "instancefile.py"}
+
+
+def test_only_the_file_reader_defines_from_dict():
+    defining = {
+        f"{name}:{node.name}"
+        for name, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.endswith("from_dict")
+    }
+    assert {entry.split(":")[0] for entry in defining} <= {"instancefile.py"}, sorted(defining)
+
+
+def test_guard_sees_an_aliased_or_attribute_name():
+    assert "SchemaError" in identifiers(ast.parse("from .errors import SchemaError as E"))
+    assert "SchemaError" in identifiers(ast.parse("from . import errors\nerrors.SchemaError"))

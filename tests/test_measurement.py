@@ -29,6 +29,7 @@ from fockcascade import (
 )
 from fockcascade import measurement
 from fockcascade.measurement import ZERO_WEIGHT_TOL, product_coefficients
+from fockcascade.poly import report_value
 from fockcascade.sampling import random_aux_state, random_homogeneous_state
 from helpers import random_poly
 
@@ -296,7 +297,7 @@ class TestCascade:
     def test_tree_serialization(self):
         state = hom_state()
         stage = CascadeStage(measure="c", branches={0: "low", 2: "high"})
-        tree = run_cascade([state], stage).to_dict()
+        tree = report_value(run_cascade([state], stage))
         assert "children" in tree
         by_history = {tuple(c["history"]): c for c in tree["children"]}
         assert by_history[(0,)]["label"] == "low"
@@ -312,7 +313,7 @@ class TestCascade:
     def test_tree_nodes_share_one_key_set(self):
         # Inner nodes and leaves carry the same keys; the state is left out.
         stage = CascadeStage(measure="c", branches={0: "low", 2: "high"})
-        tree = run_cascade([hom_state()], stage).to_dict()
+        tree = report_value(run_cascade([hom_state()], stage))
         keys = {"history", "weights", "probabilities", "zero_weight", "covered", "label", "children"}
         assert set(tree) == keys and all(set(c) == keys for c in tree["children"])
         assert tree["children"][0]["children"] == [] and tree["label"] is None

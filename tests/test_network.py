@@ -1,5 +1,7 @@
 """Unitary mode maps and operator substitution."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -395,7 +397,8 @@ class TestJson:
     def test_matrix_round_trip(self):
         rng = np.random.default_rng(14)
         net = random_network(REG3, rng)
-        back = network_from_dict(net.to_dict(), REG3)
+        data = {"matrix": [[{"re": z.real, "im": z.imag} for z in row] for row in net.matrix]}
+        back = network_from_dict(json.loads(json.dumps(data)), REG3)
         assert np.abs(back.matrix - net.matrix).max() < 1e-15
 
     def test_elements_form(self):

@@ -20,6 +20,7 @@ from fockcascade import (
     vacuum_inner_product,
     vacuum_norm_sq,
 )
+from fockcascade.instancefile import parse_instance
 from fockcascade.poly import report_value
 from helpers import bracket_int, dense_annihilation_string, random_poly
 
@@ -269,9 +270,10 @@ class TestSerialization:
     def test_round_trip_lossless(self):
         rng = np.random.default_rng(13)
         p = random_poly(rng, REG3, 3)
-        q = CreationPolynomial.from_dict(json.loads(json.dumps(p.to_dict())))
+        doc = {"modes": list(REG3.labels), "states": [p.to_dict()]}
+        q = parse_instance(json.loads(json.dumps(doc))).states[0]
         assert dict(p.items()) == dict(q.items())
-        assert q.registry.labels == REG3.labels
+        assert q.registry == REG3
 
     def test_canonical_term_order(self):
         p = mode(REG2, "a2") + mode(REG2, "a1", 2) + CreationPolynomial.constant(REG2, 3)
@@ -280,8 +282,8 @@ class TestSerialization:
 
     def test_registry_mismatch_on_load(self):
         p = mode(REG2, "a1")
-        with pytest.raises(ValueError):
-            CreationPolynomial.from_dict(p.to_dict(), REG3)
+        with pytest.raises(ValueError, match=r"^states\[0\]\.modes must be the instance modes"):
+            parse_instance({"modes": list(REG3.labels), "states": [p.to_dict()]})
 
 
 @dataclass(frozen=True)
