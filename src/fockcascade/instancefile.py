@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 from .errors import PhotonCapError, SchemaError, StrategyError, UnitarityViolation
 from .measurement import Branch, CascadeStage
-from .modes import DEFAULT_PHOTON_CAP, ModeRegistry
+from .modes import DEFAULT_PHOTON_CAP, MAX_PHOTON_CAP, ModeRegistry
 from .network import CONSTRUCTION_TOL, LinearNetwork, beam_splitter, compose, identity, phase_shifter
 from .poly import CreationPolynomial
 
@@ -168,6 +168,10 @@ def _poly(data, registry: ModeRegistry, where: str) -> CreationPolynomial:
             and all(isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in exps)
         ):
             raise SchemaError(f"{at}.exp must be nonnegative integers")
+        if max(exps, default=0) > MAX_PHOTON_CAP:  # past every cap, and maybe too long to echo
+            raise PhotonCapError(
+                f"{at}: occupation above {MAX_PHOTON_CAP} exceeds photon cap {registry.photon_cap}"
+            )
         key = tuple(exps)
         coeff = complex(_number(term, "re", at), _number(term, "im", at))
         terms[key] = terms.get(key, 0.0) + coeff

@@ -17,18 +17,33 @@ a whole set of input states at once: mix the surviving modes in a network,
 measure one mode, and pick the next stage (or a decision label) based on the
 outcome, keeping zero-probability branches in the tree but flagged.  The JSON
 form of a strategy is read by ``instancefile``.
+
+Below the root the tree is evaluated a level at a time: the nodes of a level
+that measure one mode of one registry share one numpy pass.  Each input is a
+vector over the graded monomial basis, and the network's image of degree
+block d is a matrix built from that of block d - 1.  Per node and input the
+pass prunes where ``substitute`` and ``expand_by_mode`` do: at PRUNE_TOL
+relative to the input's peak after the network, then to each bucket's peak.
+A node above the photon cap, or whose image blocks would exceed
+IMAGE_BLOCK_BUDGET (4 MiB; 5 modes and 8 photons need 6.4), is split on its
+own through ``substitute``, like the root.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
+from itertools import combinations_with_replacement
 from typing import Union
+
+import numpy as np
 
 from .errors import PhotonCapError, StrategyError, ZeroStateError
 from .modes import ModeRegistry
 from .network import LinearNetwork, substitute
-from .poly import _FACTORIAL, CreationPolynomial, Exponents, _mul_into, vacuum_norm_sq
+from .poly import _FACTORIAL, PRUNE_TOL, CreationPolynomial, Exponents, _mul_into, vacuum_norm_sq
 
 
 @dataclass(frozen=True)
@@ -228,6 +243,7 @@ class OutcomeNode:
 
 
 ZERO_WEIGHT_TOL = 1e-12
+IMAGE_BLOCK_BUDGET = 1 << 22  # bytes of one node's image blocks, 16 per complex entry (4 MiB)
 
 
 def run_cascade(
@@ -258,22 +274,34 @@ def run_cascade(
         zero_weight=False,
         covered=True,
     )
-    _expand_stage(root, stage, aux)
+    _check_stage(states[0].registry, stage)
+    level = _attach(root, stage, *_split_node(root, stage, aux))
+    while level:
+        groups: dict[tuple[ModeRegistry, str], list] = {}
+        for node, branch in level:
+            registry = next(s for s in node.states if s is not None).registry
+            groups.setdefault((registry, branch.measure), []).append((node, branch))
+        splits = [split for key, group in groups.items() for split in _split_level(*key, group)]
+        level = [pair for node, branch, split in splits for pair in _attach(node, branch, *split)]
     return root
 
 
-def _expand_stage(node: OutcomeNode, stage: CascadeStage, aux: CreationPolynomial | None) -> None:
-    registry = next(s for s in node.states if s is not None).registry
+def _check_stage(registry: ModeRegistry, stage: CascadeStage) -> None:
     if stage.measure not in registry:
         raise StrategyError(
             f"strategy measures mode {stage.measure!r} which is not available "
             f"(already measured or unknown)"
         )
-    net = stage.network
-    if net is not None:
-        net.registry.require_same(registry)
+    if stage.network is not None:
+        stage.network.registry.require_same(registry)
+
+
+def _split_node(node: OutcomeNode, stage: CascadeStage, aux: CreationPolynomial | None):
+    """The per-node route: expansions and weights of the inputs reaching
+    ``node`` (None and () for others); with ``aux``, of the products."""
 
     def split(state: CreationPolynomial) -> ModeExpansion:
+        net = stage.network
         return expand_by_mode(state if net is None else substitute(state, net), stage.measure)
 
     expansions = [split(s) if w >= ZERO_WEIGHT_TOL else None for s, w in zip(node.states, node.weights)]
@@ -283,7 +311,12 @@ def _expand_stage(node: OutcomeNode, stage: CascadeStage, aux: CreationPolynomia
             replace(aux_exp, coefficients=product_coefficients(aux_exp, e, 0, aux_exp.order + e.order))
             for e in expansions
         ]
-    weights = [() if e is None else e.weights() for e in expansions]
+    return expansions, [() if e is None else e.weights() for e in expansions]
+
+
+def _attach(node: OutcomeNode, stage: CascadeStage, expansions, weights) -> list:
+    """Give ``node`` a child per outcome; return the (child, stage) pairs to go on."""
+    going_on = []
     for n in range(max(map(len, weights))):
         row = tuple(w[n] if n < len(w) else 0.0 for w in weights)
         child = OutcomeNode(
@@ -297,11 +330,102 @@ def _expand_stage(node: OutcomeNode, stage: CascadeStage, aux: CreationPolynomia
         node.children.append(child)
         branch = stage.branches.get(n)
         if isinstance(branch, CascadeStage) and not child.zero_weight:
-            _expand_stage(child, branch, None)
+            going_on.append((child, branch))
         elif isinstance(branch, str):
             child.label = branch
         elif branch is None:
             child.covered = False
+    return going_on
+
+
+def _split_level(registry: ModeRegistry, measure: str, group: list) -> list:
+    """(node, stage, what :func:`_split_node` gives) for the nodes of ``group``,
+    in one pass or, past its limits, per node.  Every sum runs over one degree
+    block of one node and input, so no number depends on the rest of the batch."""
+    m, out, batch = registry.size, [], []
+    for node, stage in group:
+        _check_stage(registry, stage)
+        top = max(s.degree for s, w in zip(node.states, node.weights) if w >= ZERO_WEIGHT_TOL)
+        entries = sum(math.comb(m + d - 1, d) ** 2 for d in range(top + 1))
+        if top > registry.photon_cap or 16 * entries > IMAGE_BLOCK_BUDGET:
+            out.append((node, stage, _split_node(node, stage, None)))
+        else:
+            batch.append((top, node, stage))
+    if not batch:
+        return out
+    batch.sort(key=lambda item: -item[0])
+    c, tops = registry.index(measure), [top for top, _, _ in batch]
+    alive = np.array([[w >= ZERO_WEIGHT_TOL for w in node.weights] for _, node, _ in batch])
+    tables = [_Monomials(m, d) for d in range(tops[0] + 1)]
+    amp = np.zeros(alive.shape + (tables[-1].span.stop,), complex)
+    for i, k in zip(*np.nonzero(alive)):
+        _level_input(batch[i][1].states[k], tables, amp[i, k])
+    unitary = np.stack([np.eye(m) if s.network is None else s.network.matrix for *_, s in batch])
+    block = np.ones((len(batch), 1, 1), complex)
+    for d, t in enumerate(tables[1:], 1):
+        active = sum(top >= d for top in tops)
+        prev, coef = block[:active][:, :, t.parent], unitary[:active][:, :, t.last]
+        block = np.zeros((active, len(t.monos), len(t.monos)), complex)
+        for j in range(m):
+            block[:, t.raised[:, j]] += prev * coef[:, j, None, :]
+        for k in range(alive.shape[1]):
+            amp[:active, k, t.span] = (block * amp[:active, k, None, t.span]).sum(axis=-1)
+    mag = np.abs(amp)
+    keep = mag > PRUNE_TOL * mag.max(axis=-1, keepdims=True)
+    power = np.concatenate([t.exps[:, c] for t in tables])
+    peaks = np.stack([np.where(keep, mag, 0)[..., power == n].max(-1) for n in range(len(tables))], -1)
+    keep &= mag > PRUNE_TOL * peaks[..., power]
+    norms = np.where(keep, mag * mag, 0.0) * np.concatenate([t.fact for t in tables])
+    raw = np.zeros(peaks.shape)
+    for d, t in enumerate(tables):
+        for n in range(d + 1):
+            raw[..., n] += norms[..., t.span][..., t.exps[:, c] == n].sum(axis=-1)
+    total = np.cumsum(raw, axis=-1)[..., -1]
+    if (total[alive] == 0).any():
+        raise ZeroStateError("cannot measure the zero state")
+    reduced, powers = registry.without(measure), power.tolist()
+    keys = [e[:c] + e[c + 1 :] for t in tables for e in t.monos]
+    orders = np.where(keep, power, -1).max(axis=-1).tolist()
+    buckets = [[[{} for _ in range(n + 1)] for n in row] for row in orders]
+    for i, k, p, coeff in zip(*(a.tolist() for a in np.nonzero(keep)), amp[keep].tolist()):
+        buckets[i][k][powers[p]][keys[p]] = coeff
+    trusted = CreationPolynomial._trusted
+    for i, (_, node, stage) in enumerate(batch):
+        polys = [tuple(trusted(reduced, b, pruned=True) for b in bs) for bs in buckets[i]]
+        expansions = [ModeExpansion(measure, registry, reduced, p) if p else None for p in polys]
+        weights = [(raw[i, k, : len(p)] / total[i, k]).tolist() if p else () for k, p in enumerate(polys)]
+        out.append((node, stage, (expansions, weights)))
+    return out
+
+
+def _level_input(state: CreationPolynomial, tables: list, row: np.ndarray) -> None:
+    """Write the coefficients of ``state`` into ``row`` by graded-basis position."""
+    for exps, coeff in state.items():
+        t = tables[sum(exps)]
+        row[t.span.start + t.index[exps]] = coeff
+
+
+@functools.cache
+class _Monomials:
+    """The monomials of degree d on m modes in ``combinations_with_replacement``
+    order, at positions ``span`` after those of lower degree.  Monomial e is
+    monomial ``parent[e]`` of degree d - 1 times mode ``last[e]`` (its first
+    occupied mode), and ``raised[g, j]`` is monomial g of degree d - 1 times
+    mode j.  ``fact`` is the product of the factorials of the occupations."""
+
+    def __init__(self, m: int, d: int):
+        combos = combinations_with_replacement(range(m), d)
+        self.monos = [tuple(c.count(j) for j in range(m)) for c in combos]
+        self.index = {e: k for k, e in enumerate(self.monos)}
+        self.span = slice(math.comb(m + d - 1, m), math.comb(m + d, m))
+        self.exps = np.array(self.monos, dtype=np.intp)
+        self.fact = np.prod(np.array(_FACTORIAL)[self.exps], axis=1)
+        if d:
+            lower, unit = _Monomials(m, d - 1), np.eye(m, dtype=np.intp)
+            self.last = (self.exps > 0).argmax(axis=1)
+            self.parent = [lower.index[tuple(e)] for e in (self.exps - unit[self.last]).tolist()]
+            raised = (lower.exps[:, None, :] + unit).tolist()
+            self.raised = np.array([[self.index[tuple(e)] for e in row] for row in raised])
 
 
 def validate_strategy(

@@ -124,17 +124,18 @@ class CreationPolynomial:
 
     @classmethod
     def _trusted(
-        cls, registry: ModeRegistry, terms: dict[Exponents, complex]
+        cls, registry: ModeRegistry, terms: dict[Exponents, complex], pruned: bool = False
     ) -> "CreationPolynomial":
         """Polynomial over exponent tuples known to be valid for ``registry``.
 
         Only for internal arithmetic whose keys come from validated
         polynomials and whose values are complex: relative pruning is applied
-        exactly as in ``__init__``, but the exponent checks are not repeated.
+        as in ``__init__`` unless the caller has ``pruned`` the terms so
+        already, and the exponent checks are not repeated.
         """
         obj = cls.__new__(cls)
         obj.registry = registry
-        if terms:
+        if terms and not pruned:
             cutoff = PRUNE_TOL * max(abs(c) for c in terms.values())
             terms = {e: c for e, c in terms.items() if abs(c) > cutoff and c != 0}
         obj._terms = terms

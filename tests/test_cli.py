@@ -7,17 +7,21 @@ import inspect
 import io
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fockcascade import cli, nogo, suites
+from fockcascade import ModeRegistry, cli, haar_random_unitary, measurement, nogo, suites
 from fockcascade.cli import main
-from helpers import bell_instance
+from fockcascade.sampling import random_aux_state
+from helpers import bell_instance, orthogonal_states
 
 R = 0.7071067811865476  # 1/sqrt(2) at double precision
 HADAMARD_JSON = {
@@ -315,6 +319,63 @@ class TestInstanceFiles:
         assert json.loads((INSTANCES / "bell.json").read_text()) == bell
         del bell["strategy"]["network"]
         assert json.loads((INSTANCES / "bell_no_network.json").read_text()) == bell
+
+
+def cascade_document(seed: int, photons: int, aux_photons: int) -> dict:
+    """An instance of two orthogonal states on three system modes and an aux
+    on two more, with a full-depth strategy that mixes the surviving modes
+    in a Haar-random matrix at every stage."""
+    rng = np.random.default_rng(seed)
+    system, aux_modes = ("s0", "s1", "s2"), ("b0", "b1")
+    reg = ModeRegistry(system + aux_modes)
+
+    def stage(surviving, remaining, history=()):
+        branches = {}
+        for n in range(remaining + 1):
+            path = history + (n,)
+            rest = surviving[1:]
+            branches[str(n)] = stage(rest, remaining - n, path) if rest else f"h{path}"
+        u = haar_random_unitary(len(surviving), rng)
+        matrix = [[{"re": float(z.real), "im": float(z.imag)} for z in row] for row in u]
+        return {"network": {"matrix": matrix}, "measure": surviving[0], "branches": branches}
+
+    return {
+        "modes": list(reg.labels),
+        "states": [s.to_dict() for s in orthogonal_states(rng, reg, system, photons, 2)],
+        "aux": random_aux_state(rng, reg, aux_modes, aux_photons).to_dict(),
+        "strategy": stage(reg.labels, photons + aux_photons),
+    }
+
+
+class TestDeterministicCheck:
+    def test_report_bytes_do_not_depend_on_the_cached_tables(self, tmp_path):
+        # Cold tables, tables filled by a larger cascade, and a fresh process.
+        small = write(tmp_path, "small.json", cascade_document(1, 2, 1))
+        paths = [str(INSTANCES / "bell.json"), small]
+        outs = [str(tmp_path / f"out{k}.json") for k in range(len(paths))]
+
+        def reports():
+            for path, out in zip(paths, outs):
+                assert main(["check", path, "--out", out]) == 0
+            return [pathlib.Path(out).read_bytes() for out in outs]
+
+        measurement._Monomials.cache_clear()
+        cold = reports()
+        filled = measurement._Monomials.cache_info().currsize
+        large = write(tmp_path, "large.json", cascade_document(2, 3, 3))
+        assert main(["check", large, "--out", str(tmp_path / "large-out.json")]) == 0
+        assert measurement._Monomials.cache_info().currsize > filled
+        warm = reports()
+        script = (
+            "import sys; from fockcascade.cli import main; "
+            "pairs = zip(sys.argv[1::2], sys.argv[2::2]); "
+            "sys.exit(max(main(['check', p, '--out', o]) for p, o in pairs))"
+        )
+        args = [arg for pair in zip(paths, outs) for arg in pair]
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+        subprocess.run([sys.executable, "-c", script, *args], env=env, check=True)
+        fresh = [pathlib.Path(out).read_bytes() for out in outs]
+        assert cold == warm == fresh
 
 
 class TestVerifyNogo:
@@ -698,6 +759,13 @@ class TestMalformedInputs:
         assert main(["simulate", write(tmp_path, "inst.json", payload)]) == 4
         err = capsys.readouterr().err
         assert err == f"error: {where}: occupation 25 exceeds photon cap 20\n", err
+
+    def test_huge_occupation_is_named_but_not_echoed(self, tmp_path, capsys):
+        payload = _with(pair_instance(IDENTITY_JSON), states=[_photon_terms((1, 0), (10**140, 0))])
+        assert main(["simulate", write(tmp_path, "inst.json", payload)]) == 4
+        err = capsys.readouterr().err
+        assert err == "error: states[0].terms[1]: occupation above 170 exceeds photon cap 20\n", err
+        assert len(err) <= 120
 
     @pytest.mark.parametrize(
         "branches, key",

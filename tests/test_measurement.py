@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockcascade import (
     CascadeStage,
@@ -12,6 +14,7 @@ from fockcascade import (
     RegistryMismatchError,
     StrategyError,
     ZeroStateError,
+    apply_network_dense,
     condition,
     embed,
     expand_by_mode,
@@ -385,8 +388,8 @@ class TestOneTree:
 
     def test_input_below_the_weight_floor_keeps_its_state_but_stops(self, monkeypatch):
         # psi_1 reaches outcome 0 on c only with weight ~1e-14: the child
-        # keeps its conditional state, but the next stage substitutes psi_0's
-        # alone and psi_1 reaches none of its outcomes.
+        # keeps its conditional state, but the next stage reads psi_0's
+        # alone into the level kernel and psi_1 reaches none of its outcomes.
         reg = ModeRegistry(("c", "d", "e"))
         psi_0 = CreationPolynomial.mode(reg, "d")
         psi_1 = CreationPolynomial.mode(reg, "c") + 1e-7 * CreationPolynomial.mode(reg, "e")
@@ -397,13 +400,13 @@ class TestOneTree:
         )
         stage = CascadeStage(measure="c", branches={0: second, 1: "c1"})
         substituted = []
-        original = measurement.substitute
+        original = measurement._level_input
 
-        def recording(state, net):
+        def recording(state, tables, row):
             substituted.append(state)
-            return original(state, net)
+            return original(state, tables, row)
 
-        monkeypatch.setattr(measurement, "substitute", recording)
+        monkeypatch.setattr(measurement, "_level_input", recording)
         child = run_cascade([psi_0, psi_1], stage).children[0]
         assert 0.0 < child.weights[1] < ZERO_WEIGHT_TOL
         assert abs(vacuum_norm_sq(child.states[1]) - 1e-14) <= 1e-26
@@ -483,6 +486,123 @@ class TestFactoredRoot:
     def test_zero_aux_rejected(self):
         with pytest.raises(ZeroStateError):
             run_cascade([hom_state()], CascadeStage(measure="c"), CreationPolynomial.zero(REG2))
+
+
+def assert_chained(node, stage, references, probabilities):
+    """Walk an outcome tree beside an independent reference: every child's
+    probability for input k is its parent's times the ``condition`` weight of
+    the reference state, substituted through the stage network, within
+    1e-12.  A reference that stops weighing anything stops."""
+    for child in node.children:
+        n = child.history[-1]
+        states, probs = [], []
+        for k, (state, p) in enumerate(zip(references, probabilities)):
+            weight = 0.0
+            if state is not None:
+                if stage.network is not None:
+                    state = substitute(state, stage.network)
+                cond = condition(state, stage.measure, n)
+                state, weight = (cond.state if cond.weight > 0.0 else None), cond.weight
+            probs.append(p * weight)
+            states.append(state)
+            assert abs(child.probabilities[k] - probs[k]) <= 1e-12, (child.history, k)
+        if child.children:
+            assert_chained(child, stage.branches[n], states, probs)
+
+
+class TestChainedReference:
+    """The level-by-level cascade against chained ``condition`` calls on the
+    formed products ``aux * psi_k`` and, on one fixed case, against the dense
+    Fock reference."""
+
+    SYSTEM = ("s0", "s1", "s2")
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), photons=st.integers(1, 3), aux_photons=st.integers(0, 2))
+    def test_every_node_matches_chained_conditioning(self, seed, photons, aux_photons):
+        rng = np.random.default_rng(seed)
+        reg = ModeRegistry(self.SYSTEM + (("b0", "b1") if aux_photons else ()))
+        states = [random_homogeneous_state(rng, reg, self.SYSTEM, photons) for _ in range(3)]
+        aux = random_aux_state(rng, reg, ("b0", "b1"), aux_photons) if aux_photons else None
+        stage = random_full_strategy(rng, reg, photons + aux_photons)
+        products = states if aux is None else [aux * psi for psi in states]
+        assert_chained(run_cascade(states, stage, aux), stage, products, [1.0] * 3)
+
+    def test_leaves_match_the_dense_chain(self):
+        rng = np.random.default_rng(3)
+        reg = ModeRegistry(self.SYSTEM + ("b0",))
+        states = [random_homogeneous_state(rng, reg, self.SYSTEM, 2) for _ in range(2)]
+        aux = random_aux_state(rng, reg, ("b0",), 1)
+        stage = random_full_strategy(rng, reg, 3)
+        tree = run_cascade(states, stage, aux)
+        for k, psi in enumerate(states):
+            for leaf in tree.leaves():
+                basis, labels, branch = FockBasis(4, 3), reg.labels, stage
+                vec, prob = embed(aux * psi, basis), 1.0
+                for n in leaf.history:
+                    if branch.network is not None:
+                        vec = apply_network_dense(vec, branch.network.matrix, basis)
+                    if basis.mode_count == 1:  # the last mode: nothing is left to project on
+                        prob *= abs(vec[basis.index[(n,)]]) ** 2 / np.vdot(vec, vec).real
+                        break
+                    reduced = FockBasis(basis.mode_count - 1, 3)
+                    at = labels.index(branch.measure)
+                    vec, weight = project_outcome_dense(vec, at, n, basis, reduced)
+                    prob *= weight
+                    if weight == 0.0:
+                        break
+                    labels = labels[:at] + labels[at + 1 :]
+                    basis, branch = reduced, branch.branches[n]
+                assert abs(leaf.probabilities[k] - prob) <= 1e-10, (k, leaf.history)
+
+
+class TestLargeBasisFallback:
+    def test_node_over_the_budget_takes_the_per_node_route(self, monkeypatch):
+        # Root children on 5 modes: outcome 0 keeps 8 photons, whose image
+        # blocks (6.7 MB) exceed the budget; outcome 1 keeps 7 (2.8 MB), so
+        # one level holds a per-node and a batched node.
+        reg = ModeRegistry(tuple(f"m{j}" for j in range(6)))
+        term = CreationPolynomial.monomial
+        psi_0 = term(reg, {"m1": 4, "m2": 4}) + term(reg, {"m0": 1, "m3": 7})
+        psi_1 = term(reg, {"m2": 8}) + term(reg, {"m0": 1, "m4": 7}, 0.5j)
+        second = CascadeStage(
+            measure="m1",
+            network=random_network(reg.without("m0"), np.random.default_rng(9)),
+            branches={n: f"n{n}" for n in range(9)},
+        )
+        stage = CascadeStage(measure="m0", branches={0: second, 1: second})
+        seen = {"substitute": [], "_level_input": []}
+
+        def recording(name):
+            original = getattr(measurement, name)
+
+            def wrapper(state, *args):
+                seen[name].append(state)
+                return original(state, *args)
+
+            return wrapper
+
+        for name in seen:
+            monkeypatch.setattr(measurement, name, recording(name))
+        tree = run_cascade([psi_0, psi_1], stage)
+        per_node, batched = seen["substitute"], seen["_level_input"]
+        assert [id(s) for s in per_node] == [id(s) for s in tree.children[0].states]
+        assert [id(s) for s in batched] == [id(s) for s in tree.children[1].states]
+        monkeypatch.undo()
+        assert_chained(tree, stage, [psi_0, psi_1], [1.0, 1.0])
+
+    @pytest.mark.parametrize("cap, raises", [(3, True), (4, False)])
+    def test_node_above_the_photon_cap_raises_as_substitute_does(self, cap, raises):
+        # d^2 e^2 keeps 4 photons below the root; the splitter puts up to 4 on d.
+        reg = ModeRegistry(("c", "d", "e"), photon_cap=cap)
+        psi = CreationPolynomial.monomial(reg, {"d": 2, "e": 2})
+        second = CascadeStage(measure="d", network=from_matrix(HADAMARD, reg.without("c")))
+        stage = CascadeStage(measure="c", branches={0: second})
+        if raises:
+            with pytest.raises(PhotonCapError, match="occupation 4 exceeds photon cap 3"):
+                run_cascade([psi], stage)
+        else:
+            assert_chained(run_cascade([psi], stage), stage, [psi], [1.0])
 
 
 class TestStrategyValidation:
