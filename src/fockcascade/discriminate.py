@@ -94,7 +94,7 @@ def stage_orthogonality(
     are reported separately.  The outcomes are the root children of the
     one-stage cascade ``CascadeStage(measured, net)`` on the instance, whose
     conditional state of input k at outcome N is coefficient N of
-    ``sub(aux) * sub(psi_k)`` through the full network.
+    ``sub(aux * psi_k)`` through the full network.
     """
     root = run_cascade(instance.states, CascadeStage(measured, net), instance.aux)
     return _stage_report(root, measured)

@@ -18,15 +18,16 @@ measure one mode, and pick the next stage (or a decision label) based on the
 outcome, keeping zero-probability branches in the tree but flagged.  The JSON
 form of a strategy is read by ``instancefile``.
 
-Below the root the tree is evaluated a level at a time: the nodes of a level
-that measure one mode of one registry share one numpy pass.  Each input is a
-vector over the graded monomial basis, and the network's image of degree
-block d is a matrix built from that of block d - 1.  Per node and input the
-pass prunes where ``substitute`` and ``expand_by_mode`` do: at PRUNE_TOL
-relative to the input's peak after the network, then to each bucket's peak.
+The tree is evaluated a level at a time from the root down: the nodes of a
+level that measure one mode of one registry share one numpy pass.  Each
+input is a vector over the graded monomial basis, and the network's image of
+degree block d is a matrix built from that of block d - 1.  Per node and
+input the pass prunes where ``substitute`` and ``expand_by_mode`` do: at
+PRUNE_TOL relative to the input's peak after the network, then to each
+bucket's peak.
 A node above the photon cap, or whose image blocks would exceed
 IMAGE_BLOCK_BUDGET (4 MiB; 5 modes and 8 photons need 6.4), is split on its
-own through ``substitute``, like the root.
+own through ``substitute``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from typing import Union
 
@@ -123,9 +124,10 @@ def product_coefficients(
     Coefficient N of ``p * q`` is the Cauchy sum ``sum_a p_a * q_(N-a)``, so
     the product itself is never formed: each N is summed into one dict and
     pruned once, relative to its own peak.  ``PhotonCapError`` is raised
-    exactly when ``p * q`` would raise it, which is when the highest powers
-    of some mode in ``p`` and in ``q`` add up past the cap; the measured mode
-    counts too, although the reduced registry of the result cannot hold it.
+    when the highest powers of some mode in ``p`` and in ``q`` add up past
+    the cap, so that ``p * q`` has a term past it before pruning; the
+    measured mode counts too, although the reduced registry of the result
+    cannot hold it.
     """
     if left.measured != right.measured:
         raise ValueError(f"expansions measure {left.measured!r} and {right.measured!r}")
@@ -216,7 +218,8 @@ class OutcomeNode:
     Per input: ``weights`` is the outcome probability given the parent,
     ``probabilities`` is cumulative from the root, and ``states`` holds the
     conditional state of every input that reached the parent, None for the
-    others; only those weighing at least ZERO_WEIGHT_TOL here go further.
+    others (at the root, the inputs themselves); only those weighing at least
+    ZERO_WEIGHT_TOL here go further.
     Leaves carry a decision ``label`` (None when the strategy left the outcome
     uncovered).  A node no input reaches is kept, flagged, and not expanded.
     """
@@ -256,15 +259,15 @@ def run_cascade(
     Returns the root of the one outcome tree, whose leaves are the strategy's
     outcome histories.  Every possible photon count at each stage gets a node
     (zero-weight ones flagged); per input, cumulative probabilities over any
-    frontier of the tree sum to one.  The tree is that of ``aux * psi_k``
-    (None: the constant 1), but the root sums its children's coefficients
-    from sub(aux) and each sub(psi_k) with :func:`product_coefficients`, so
-    no product is formed.  The root node keeps the ``psi_k``.
+    frontier of the tree sum to one.  With an ``aux`` the inputs are the
+    products ``aux * psi_k``, which the root node holds.
     """
     states = tuple(input_states)
-    if not states or any(s.is_zero() for s in states) or (aux is not None and aux.is_zero()):
+    if aux is not None:
+        states = tuple(aux * psi for psi in states)
+    if not states or any(s.is_zero() for s in states):
         raise ZeroStateError("cannot run a cascade on the zero state or on no state")
-    for s in states + (() if aux is None else (aux,)):
+    for s in states:
         states[0].registry.require_same(s.registry)
     root = OutcomeNode(
         history=(),
@@ -274,8 +277,7 @@ def run_cascade(
         zero_weight=False,
         covered=True,
     )
-    _check_stage(states[0].registry, stage)
-    level = _attach(root, stage, *_split_node(root, stage, aux))
+    level = [(root, stage)]
     while level:
         groups: dict[tuple[ModeRegistry, str], list] = {}
         for node, branch in level:
@@ -286,31 +288,15 @@ def run_cascade(
     return root
 
 
-def _check_stage(registry: ModeRegistry, stage: CascadeStage) -> None:
-    if stage.measure not in registry:
-        raise StrategyError(
-            f"strategy measures mode {stage.measure!r} which is not available "
-            f"(already measured or unknown)"
-        )
-    if stage.network is not None:
-        stage.network.registry.require_same(registry)
-
-
-def _split_node(node: OutcomeNode, stage: CascadeStage, aux: CreationPolynomial | None):
+def _split_node(node: OutcomeNode, stage: CascadeStage):
     """The per-node route: expansions and weights of the inputs reaching
-    ``node`` (None and () for others); with ``aux``, of the products."""
-
-    def split(state: CreationPolynomial) -> ModeExpansion:
-        net = stage.network
-        return expand_by_mode(state if net is None else substitute(state, net), stage.measure)
-
-    expansions = [split(s) if w >= ZERO_WEIGHT_TOL else None for s, w in zip(node.states, node.weights)]
-    if aux is not None:
-        aux_exp = split(aux)
-        expansions = [
-            replace(aux_exp, coefficients=product_coefficients(aux_exp, e, 0, aux_exp.order + e.order))
-            for e in expansions
-        ]
+    ``node`` (None and () for others)."""
+    net = stage.network
+    expansions = [
+        expand_by_mode(s if net is None else substitute(s, net), stage.measure)
+        if w >= ZERO_WEIGHT_TOL else None
+        for s, w in zip(node.states, node.weights)
+    ]
     return expansions, [() if e is None else e.weights() for e in expansions]
 
 
@@ -342,13 +328,19 @@ def _split_level(registry: ModeRegistry, measure: str, group: list) -> list:
     """(node, stage, what :func:`_split_node` gives) for the nodes of ``group``,
     in one pass or, past its limits, per node.  Every sum runs over one degree
     block of one node and input, so no number depends on the rest of the batch."""
+    if measure not in registry:
+        raise StrategyError(
+            f"strategy measures mode {measure!r} which is not available "
+            f"(already measured or unknown)"
+        )
     m, out, batch = registry.size, [], []
     for node, stage in group:
-        _check_stage(registry, stage)
+        if stage.network is not None:
+            stage.network.registry.require_same(registry)
         top = max(s.degree for s, w in zip(node.states, node.weights) if w >= ZERO_WEIGHT_TOL)
         entries = sum(math.comb(m + d - 1, d) ** 2 for d in range(top + 1))
         if top > registry.photon_cap or 16 * entries > IMAGE_BLOCK_BUDGET:
-            out.append((node, stage, _split_node(node, stage, None)))
+            out.append((node, stage, _split_node(node, stage)))
         else:
             batch.append((top, node, stage))
     if not batch:

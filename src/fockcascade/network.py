@@ -29,13 +29,10 @@ COMPOSITION_TOL = 1e-8
 class LinearNetwork:
     """Unitary mode map over a registry; validated at construction.
 
-    ``images[i]`` is the linear image of input mode i as the
-    ``(j, U[j, i])`` pairs with a nonzero entry, built once for
-    :func:`substitute`.  ``deviation`` is max |U^dag U - I|, measured at
-    construction.
+    ``deviation`` is max |U^dag U - I|, measured at construction.
     """
 
-    __slots__ = ("matrix", "registry", "images", "deviation")
+    __slots__ = ("matrix", "registry", "deviation")
 
     def __init__(self, matrix, registry: ModeRegistry, tol: float = CONSTRUCTION_TOL):
         m = np.asarray(matrix, dtype=complex)
@@ -52,10 +49,6 @@ class LinearNetwork:
         self.matrix = m
         self.registry = registry
         self.deviation = deviation
-        self.images = tuple(
-            tuple((j, complex(m[j, i])) for j in range(n) if m[j, i] != 0)
-            for i in range(n)
-        )
 
     def __repr__(self) -> str:
         return f"LinearNetwork({self.registry.size} modes)"
@@ -160,9 +153,10 @@ def substitute(state: CreationPolynomial, net: LinearNetwork) -> CreationPolynom
     carries), that is one added stride.  The sums stay plain dicts, pruned once
     relative to the result's peak and unpacked once.  A state of degree 0 is
     returned as it is.  Total degree is preserved term by term; the vacuum
-    norm is preserved up to roundoff because U is unitary.  A state of degree
-    above the photon cap goes through the validating constructor, which
-    raises PhotonCapError when some output occupation exceeds the cap.
+    norm is preserved up to roundoff because U is unitary.  The image of
+    input mode i is read from column i of U, nonzero entries only.  A state
+    of degree above the photon cap raises PhotonCapError when some output
+    occupation that survives pruning exceeds the cap.
     """
     state.registry.require_same(net.registry)
     registry = state.registry
@@ -172,7 +166,8 @@ def substitute(state: CreationPolynomial, net: LinearNetwork) -> CreationPolynom
     size = registry.size
     base = degree + 1
     strides = [base**j for j in range(size)]
-    images = [tuple((strides[j], u) for j, u in image) for image in net.images]
+    columns = net.matrix.T.tolist()
+    images = [[(s, u) for s, u in zip(strides, column) if u != 0] for column in columns]
 
     def nested(terms: list[tuple[Exponents, complex]], k: int) -> dict[int, complex]:
         """Image of ``terms`` over modes k.. in Horner form in mode k:
@@ -193,13 +188,11 @@ def substitute(state: CreationPolynomial, net: LinearNetwork) -> CreationPolynom
 
     packed = nested(list(state.items()), 0)
     terms = {tuple([key // s % base for s in strides]): c for key, c in packed.items()}
-    if degree <= registry.photon_cap:
-        return CreationPolynomial._trusted(registry, terms)
-    return CreationPolynomial(registry, terms)
+    return CreationPolynomial._capped(registry, terms, degree)
 
 
 def _times_image(
-    terms: dict[int, complex], image: tuple[tuple[int, complex], ...]
+    terms: dict[int, complex], image: list[tuple[int, complex]]
 ) -> dict[int, complex]:
     """``terms`` times the linear form sum_j u_j c^dag_j, given as its
     ``(stride_j, u_j)`` pairs: each pair raises one exponent of one term."""

@@ -24,11 +24,14 @@ accumulating.
 The public constructor validates every exponent tuple.  Arithmetic on
 polynomials that were already validated builds its result through
 :meth:`CreationPolynomial._trusted`, which prunes the same way but skips the
-per-exponent checks; a product that could exceed the photon cap still goes
-through the validating constructor.  So no exponent ever exceeds the cap:
-the validating constructor, ``*``, ``network.substitute`` and
-``measurement.product_coefficients`` all keep it there, and factorials are
-read from a table that ends at the largest cap without a range check.
+per-exponent checks; ``*`` and ``network.substitute`` build theirs through
+:meth:`CreationPolynomial._capped`, which checks the photon cap on the terms
+that survive pruning.  So no exponent ever exceeds the cap: the validating
+constructor, ``*``, ``network.substitute``,
+``measurement.product_coefficients`` and the cascade's level pass (which
+hands a node above the cap to ``substitute``) all keep it there, and
+factorials are read from a table that ends at the largest cap without a
+range check.
 """
 
 from __future__ import annotations
@@ -141,6 +144,19 @@ class CreationPolynomial:
         obj._terms = terms
         return obj
 
+    @classmethod
+    def _capped(
+        cls, registry: ModeRegistry, terms: dict[Exponents, complex], degree: int
+    ) -> "CreationPolynomial":
+        """:meth:`_trusted` for an arithmetic result of total degree at most
+        ``degree``: when that passes the photon cap, the terms that survive
+        pruning are checked against it."""
+        obj, cap = cls._trusted(registry, terms), registry.photon_cap
+        over = [e for exps in obj._terms for e in exps if e > cap] if degree > cap else []
+        if over:
+            raise PhotonCapError(f"occupation {over[0]} exceeds photon cap {cap}")
+        return obj
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -248,10 +264,7 @@ class CreationPolynomial:
             self.registry.require_same(other.registry)
             out: dict[Exponents, complex] = {}
             _mul_into(out, self, other)
-            if self.degree + other.degree <= self.registry.photon_cap:
-                return CreationPolynomial._trusted(self.registry, out)
-            # Some mode of the product may exceed the cap: validate.
-            return CreationPolynomial(self.registry, out)
+            return CreationPolynomial._capped(self.registry, out, self.degree + other.degree)
         return self.scale(other)
 
     def __rmul__(self, other) -> "CreationPolynomial":

@@ -10,6 +10,7 @@ from fockcascade import (
     CreationPolynomial,
     FockBasis,
     ModeRegistry,
+    from_matrix,
     vacuum_inner_product,
     vacuum_norm_sq,
 )
@@ -114,6 +115,30 @@ def orthogonal_states(
         if vacuum_norm_sq(cand) > 1e-6:
             states.append(cand.scale(1.0 / math.sqrt(vacuum_norm_sq(cand))))
     return states
+
+
+def cap_below_the_product():
+    """Modes a, b, d, c with cap 2, states a^2 - b^2 and (a - b)^2, aux d.
+
+    Row c is (r, r, ., .) with r^2 = 1/3; a and b go to outputs a and b as
+    (p, q) and (-p, q) with p^2 = 1/2, q^2 = 1/6, and d has no output-a part.
+    On every physical output the product stays within the cap, but row 0 of
+    the QR rows carries the states' e0^2 and the aux's e0 together.
+    """
+    r, p, q = math.sqrt(1 / 3), math.sqrt(1 / 2), math.sqrt(1 / 6)
+    w = np.array([0, math.sqrt(2) * r, 0, -math.sqrt(2) * q])
+    z = np.array([0, 0, 1.0, 0])
+    theta = 0.6
+    columns = [
+        np.array([p, q, 0, r]),
+        np.array([-p, q, 0, r]),
+        math.cos(theta) * w + math.sin(theta) * z,
+        -math.sin(theta) * w + math.cos(theta) * z,
+    ]
+    reg = ModeRegistry(("a", "b", "d", "c"), photon_cap=2)
+    a, b, d = (CreationPolynomial.mode(reg, label, 1) for label in "abd")
+    net = from_matrix(np.column_stack(columns), reg)
+    return d, [a * a - b * b, (a - b) * (a - b)], net, "c"
 
 
 def bell_instance() -> dict:

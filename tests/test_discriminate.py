@@ -97,10 +97,10 @@ class TestStageOrthogonality:
 
     @pytest.mark.parametrize("n_states", [2, 3, 4])
     def test_one_substitution_per_state(self, monkeypatch, n_states):
-        # K+1 substitutions and K+1 expansions for K states, all in the
-        # cascade's root stage (the product states are summed from the
-        # expansions, never expanded); the records still match conditioning
-        # sub(aux*psi) once per outcome.
+        # One split of the cascade's root in the level pass, with the K
+        # products aux*psi as its inputs, and no substitution, expansion or
+        # conditioning; the records still match conditioning sub(aux*psi)
+        # once per outcome.
         rng = np.random.default_rng(70 + n_states)
         reg = ModeRegistry(("s0", "s1", "s2", "b0", "b1"))
         states = orthogonal_states(rng, reg, ("s0", "s1", "s2"), 2, n_states)
@@ -108,6 +108,12 @@ class TestStageOrthogonality:
         net = random_network(reg, rng)
         inst = DiscriminationInstance(states=tuple(states), aux=aux)
         calls = {"substitute": 0, "expand_by_mode": 0, "condition": 0}
+        splits = []
+        split_level = measurement._split_level
+
+        def recording(registry, measure, group):
+            splits.append([(node.history, len(node.states)) for node, _ in group])
+            return split_level(registry, measure, group)
 
         def counted(name, original):
             def wrapper(*args, **kwargs):
@@ -121,12 +127,10 @@ class TestStageOrthogonality:
                 for name in calls:
                     if hasattr(module, name):
                         patch.setattr(module, name, counted(name, getattr(module, name)))
+            patch.setattr(measurement, "_split_level", recording)
             report = stage_orthogonality(inst, net, "s0")
-        assert calls == {
-            "substitute": n_states + 1,
-            "expand_by_mode": n_states + 1,
-            "condition": 0,
-        }
+        assert calls == {"substitute": 0, "expand_by_mode": 0, "condition": 0}
+        assert splits == [[((), n_states)]]
         totals = [substitute(aux * psi, net) for psi in states]
         for r in report.records:
             cond_i = condition(totals[r.i], "s0", r.outcome)

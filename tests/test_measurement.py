@@ -388,8 +388,9 @@ class TestOneTree:
 
     def test_input_below_the_weight_floor_keeps_its_state_but_stops(self, monkeypatch):
         # psi_1 reaches outcome 0 on c only with weight ~1e-14: the child
-        # keeps its conditional state, but the next stage reads psi_0's
-        # alone into the level kernel and psi_1 reaches none of its outcomes.
+        # keeps its conditional state, but after the root's two inputs the
+        # next stage reads psi_0's alone into the level kernel and psi_1
+        # reaches none of its outcomes.
         reg = ModeRegistry(("c", "d", "e"))
         psi_0 = CreationPolynomial.mode(reg, "d")
         psi_1 = CreationPolynomial.mode(reg, "c") + 1e-7 * CreationPolynomial.mode(reg, "e")
@@ -410,7 +411,7 @@ class TestOneTree:
         child = run_cascade([psi_0, psi_1], stage).children[0]
         assert 0.0 < child.weights[1] < ZERO_WEIGHT_TOL
         assert abs(vacuum_norm_sq(child.states[1]) - 1e-14) <= 1e-26
-        assert [id(s) for s in substituted] == [id(child.states[0])]
+        assert [id(s) for s in substituted] == [id(psi_0), id(psi_1), id(child.states[0])]
         assert [leaf.states[1] for leaf in child.children] == [None, None]
 
 
@@ -431,7 +432,7 @@ def same_tree(factored, product):
 
 class TestFactoredRoot:
     """``run_cascade(states, stage, aux)`` runs the tree of the products
-    ``aux * psi_k`` from the substituted factors."""
+    ``aux * psi_k``."""
 
     REG = ModeRegistry(("c", "d", "b0", "b1"))
 
@@ -445,29 +446,6 @@ class TestFactoredRoot:
     def test_matches_the_tree_of_the_products(self, seed):
         states, aux, stage = self.draw(seed)
         same_tree(run_cascade(states, stage, aux), run_cascade([aux * psi for psi in states], stage))
-
-    def test_root_substitutes_the_factors_only(self, monkeypatch):
-        states, aux, _ = self.draw(0)
-        stage = CascadeStage(
-            measure="c",
-            network=random_network(self.REG, np.random.default_rng(1)),
-            branches={n: f"n{n}" for n in range(5)},
-        )
-        substituted = []
-        original = measurement.substitute
-
-        def recording(state, net):
-            substituted.append(state)
-            return original(state, net)
-
-        def no_multiply(self, other):
-            raise AssertionError("the root formed a product")
-
-        monkeypatch.setattr(measurement, "substitute", recording)
-        monkeypatch.setattr(CreationPolynomial, "__mul__", no_multiply)
-        run_cascade(states, stage, aux)
-        assert len(substituted) == len(states) + 1
-        assert {id(s) for s in substituted} == {id(f) for f in states + [aux]}
 
     @pytest.mark.parametrize("cap, raises", [(3, True), (4, False)])
     def test_photon_cap_raised_as_through_the_product(self, cap, raises):
@@ -590,6 +568,49 @@ class TestLargeBasisFallback:
         assert [id(s) for s in batched] == [id(s) for s in tree.children[1].states]
         monkeypatch.undo()
         assert_chained(tree, stage, [psi_0, psi_1], [1.0, 1.0])
+
+    def test_root_over_the_budget_with_an_aux_takes_the_per_node_route(self, monkeypatch):
+        # The products aux * psi_k hold 6 photons on 6 modes, whose image
+        # blocks (4.7 MB) exceed the budget: the root substitutes the
+        # products on its own, and its children share the level pass.
+        reg = ModeRegistry(tuple(f"m{j}" for j in range(6)))
+        term = CreationPolynomial.monomial
+        states = [
+            term(reg, {"m1": 3, "m2": 2}) + term(reg, {"m0": 1, "m3": 4}),
+            term(reg, {"m2": 5}) + term(reg, {"m0": 2, "m4": 3}, 0.5j),
+        ]
+        aux = CreationPolynomial.mode(reg, "m5")
+        second = CascadeStage(
+            measure="m1",
+            network=random_network(reg.without("m0"), np.random.default_rng(9)),
+            branches={n: f"n{n}" for n in range(7)},
+        )
+        stage = CascadeStage(
+            measure="m0",
+            network=random_network(reg, np.random.default_rng(8)),
+            branches={n: second for n in range(7)},
+        )
+        seen = {"substitute": [], "_level_input": []}
+
+        def recording(name):
+            original = getattr(measurement, name)
+
+            def wrapper(state, *args):
+                seen[name].append(state)
+                return original(state, *args)
+
+            return wrapper
+
+        for name in seen:
+            monkeypatch.setattr(measurement, name, recording(name))
+        tree = run_cascade(states, stage, aux)
+        children = {id(s) for child in tree.children for s in child.states}
+        assert [id(s) for s in seen["substitute"]] == [id(s) for s in tree.states]
+        assert seen["_level_input"] and {id(s) for s in seen["_level_input"]} <= children
+        monkeypatch.undo()
+        products = [aux * psi for psi in states]
+        same_tree(tree, run_cascade(products, stage))
+        assert_chained(tree, stage, products, [1.0, 1.0])
 
     @pytest.mark.parametrize("cap, raises", [(3, True), (4, False)])
     def test_node_above_the_photon_cap_raises_as_substitute_does(self, cap, raises):

@@ -37,7 +37,7 @@ from fockcascade import (
 from fockcascade import measurement, nogo
 from fockcascade.poly import report_value
 from fockcascade.sampling import random_aux_state, random_homogeneous_state
-from helpers import orthogonal_states
+from helpers import cap_below_the_product, orthogonal_states
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
@@ -516,30 +516,6 @@ class TestVerifyNoGo:
         parsed = json.loads(text)
         assert parsed["passed"] is True
         assert len(parsed["transfer_matrix"]) == report.system_order + 1
-
-
-def cap_below_the_product():
-    """Modes a, b, d, c with cap 2, states a^2 - b^2 and (a - b)^2, aux d.
-
-    Row c is (r, r, ., .) with r^2 = 1/3; a and b go to outputs a and b as
-    (p, q) and (-p, q) with p^2 = 1/2, q^2 = 1/6, and d has no output-a part.
-    On every physical output the product stays within the cap, but row 0 of
-    the QR rows carries the states' e0^2 and the aux's e0 together.
-    """
-    r, p, q = math.sqrt(1 / 3), math.sqrt(1 / 2), math.sqrt(1 / 6)
-    w = np.array([0, math.sqrt(2) * r, 0, -math.sqrt(2) * q])
-    z = np.array([0, 0, 1.0, 0])
-    theta = 0.6
-    columns = [
-        np.array([p, q, 0, r]),
-        np.array([-p, q, 0, r]),
-        math.cos(theta) * w + math.sin(theta) * z,
-        -math.sin(theta) * w + math.cos(theta) * z,
-    ]
-    reg = ModeRegistry(("a", "b", "d", "c"), photon_cap=2)
-    a, b, d = (CreationPolynomial.mode(reg, label, 1) for label in "abd")
-    net = from_matrix(np.column_stack(columns), reg)
-    return d, [a * a - b * b, (a - b) * (a - b)], net, "c"
 
 
 def cap_over_the_product():
