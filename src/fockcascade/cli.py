@@ -218,6 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise SchemaError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (SuiteCapError, PhotonCapError) as exc:
         code, error = EXIT_CAPS, exc

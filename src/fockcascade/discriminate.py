@@ -102,14 +102,13 @@ def stage_orthogonality(
 
 def _stage_report(root: OutcomeNode, measured: str) -> StageReport:
     """One record per pair per root child of an outcome tree."""
-    records = []
+    records, norms = [], [[vacuum_norm_sq(s) for s in child.states] for child in root.children]
     for i in range(len(root.states)):
         for j in range(i + 1, len(root.states)):
             for outcome, child in enumerate(root.children):
-                state_i, state_j = child.states[i], child.states[j]
                 weight_i, weight_j = child.weights[i], child.weights[j]
-                inner = vacuum_inner_product(state_i, state_j)
-                scale = math.sqrt(vacuum_norm_sq(state_i) * vacuum_norm_sq(state_j))
+                inner = vacuum_inner_product(child.states[i], child.states[j])
+                scale = math.sqrt(norms[outcome][i] * norms[outcome][j])
                 orthogonal = abs(inner) <= ORTHOGONALITY_TOL * max(scale, 1.0)
                 vacuous = min(weight_i, weight_j) < ZERO_WEIGHT_TOL
                 records.append(

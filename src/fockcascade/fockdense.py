@@ -49,7 +49,6 @@ import math
 from itertools import combinations_with_replacement
 
 import numpy as np
-import scipy.linalg
 
 from .poly import CreationPolynomial
 
@@ -116,6 +115,7 @@ def embed(p: CreationPolynomial, basis: FockBasis) -> np.ndarray:
 
 def _mode_generator(unitary: np.ndarray) -> np.ndarray:
     """Anti-Hermitian h with exp(h) = U, via a complex Schur form."""
+    import scipy.linalg  # here, as below: only the dense oracle loads scipy
     t, z = scipy.linalg.schur(np.asarray(unitary, dtype=complex), output="complex")
     eigs = np.diagonal(t)
     return z @ np.diag(np.log(eigs)) @ z.conj().T
@@ -168,6 +168,7 @@ def fock_unitary(mode_unitary: np.ndarray, basis: FockBasis) -> np.ndarray:
     """Dense Fock-space operator implementing a mode unitary, exponentiated
     one photon-number sector at a time (entries between sectors are exact
     zeros)."""
+    import scipy.linalg
     gen = _fock_generator(mode_unitary, basis)
     out = np.zeros_like(gen)
     for sector in basis.sectors:
@@ -183,7 +184,7 @@ def apply_network_dense(vec: np.ndarray, mode_unitary: np.ndarray, basis: FockBa
         raise ValueError("vector does not match basis dimension")
     if basis.dimension <= OPERATOR_MAX_DIMENSION:
         return fock_unitary(mode_unitary, basis) @ vec
-    # Imported here: at module level it would add 30-45 ms to every `import fockcascade`.
+    # Imported here, as scipy.linalg above: scipy is over half of `import fockcascade`.
     from scipy.sparse import csr_array
     from scipy.sparse.linalg import expm_multiply
 

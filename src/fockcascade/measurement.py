@@ -24,16 +24,19 @@ input is a vector over the graded monomial basis, and the network's image of
 degree block d is a matrix built from that of block d - 1.  Per node and
 input the pass prunes where ``substitute`` and ``expand_by_mode`` do: at
 PRUNE_TOL relative to the input's peak after the network, then to each
-bucket's peak.
-A node above the photon cap, or whose image blocks would exceed
-IMAGE_BLOCK_BUDGET (4 MiB; 5 modes and 8 photons need 6.4), is split on its
-own through ``substitute``.
+bucket's peak.  One scatter through a cached position table turns the kept
+entries into the children's rows over the graded basis of the other modes;
+the next level reads those rows, and ``node.states[k]`` builds its
+polynomial only when it is read.  A node above the photon cap, or whose
+image blocks would exceed IMAGE_BLOCK_BUDGET (4 MiB; 5 modes and 8 photons
+need 6.4), is split on its own through ``substitute``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
@@ -218,8 +221,8 @@ class OutcomeNode:
     Per input: ``weights`` is the outcome probability given the parent,
     ``probabilities`` is cumulative from the root, and ``states`` holds the
     conditional state of every input that reached the parent, None for the
-    others (at the root, the inputs themselves); only those weighing at least
-    ZERO_WEIGHT_TOL here go further.
+    others (at the root, the inputs themselves), each built when first read;
+    only those weighing at least ZERO_WEIGHT_TOL here go further.
     Leaves carry a decision ``label`` (None when the strategy left the outcome
     uncovered).  A node no input reaches is kept, flagged, and not expanded.
     """
@@ -227,7 +230,7 @@ class OutcomeNode:
     history: tuple[int, ...]
     weights: tuple[float, ...]
     probabilities: tuple[float, ...]
-    states: tuple[CreationPolynomial | None, ...] = field(metadata={"json": None})
+    states: NodeStates = field(metadata={"json": None})
     zero_weight: bool
     covered: bool
     label: str | None = None
@@ -243,6 +246,40 @@ class OutcomeNode:
         for child in self.children:
             out.extend(child.leaves())
         return out
+
+
+class NodeStates(Sequence):
+    """The states of a node's inputs on ``registry``, None for the inputs that
+    did not reach its parent.  The level pass hands a node its states as
+    ``rows`` of one block over the graded basis (monomial q is ``keys[q]``),
+    ``...`` until read: each becomes a polynomial when first read."""
+
+    def __init__(self, registry: ModeRegistry, states, rows: np.ndarray | None = None, keys=()):
+        self.registry, self.rows, self._keys, self._states = registry, rows, keys, list(states)
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def __getitem__(self, k: int) -> CreationPolynomial | None:
+        if self._states[operator.index(k)] is ...:
+            at = np.flatnonzero(self.rows[k])
+            terms = dict(zip([self._keys[q] for q in at.tolist()], self.rows[k, at].tolist()))
+            self._states[k] = CreationPolynomial._trusted(self.registry, terms, pruned=True)
+        return self._states[k]
+
+    def degree(self, live: list[bool]) -> int:
+        """The highest degree over the states of the ``live`` inputs."""
+        if self.rows is None:
+            return max(s.degree for s, reached in zip(self._states, live) if reached)
+        return sum(self._keys[np.flatnonzero(self.rows[live].any(axis=0))[-1]])
+
+    def fill(self, block: np.ndarray, live: list[bool], tables: list) -> None:
+        """Write the states of the ``live`` inputs into the rows of ``block``."""
+        if self.rows is None:
+            for k in np.flatnonzero(live):
+                _level_input(self[k], tables, block[k])
+        else:
+            block[live, : self.rows.shape[-1]] = self.rows[live, : block.shape[-1]]  # the rest is 0
 
 
 ZERO_WEIGHT_TOL = 1e-12
@@ -273,7 +310,7 @@ def run_cascade(
         history=(),
         weights=(1.0,) * len(states),
         probabilities=(1.0,) * len(states),
-        states=states,
+        states=NodeStates(states[0].registry, states),
         zero_weight=False,
         covered=True,
     )
@@ -281,35 +318,37 @@ def run_cascade(
     while level:
         groups: dict[tuple[ModeRegistry, str], list] = {}
         for node, branch in level:
-            registry = next(s for s in node.states if s is not None).registry
-            groups.setdefault((registry, branch.measure), []).append((node, branch))
+            groups.setdefault((node.states.registry, branch.measure), []).append((node, branch))
         splits = [split for key, group in groups.items() for split in _split_level(*key, group)]
         level = [pair for node, branch, split in splits for pair in _attach(node, branch, *split)]
     return root
 
 
 def _split_node(node: OutcomeNode, stage: CascadeStage):
-    """The per-node route: expansions and weights of the inputs reaching
-    ``node`` (None and () for others)."""
+    """The per-node route: the states of each child, and the outcome weights
+    of each input (() for the inputs not reaching ``node``)."""
     net = stage.network
     expansions = [
         expand_by_mode(s if net is None else substitute(s, net), stage.measure)
         if w >= ZERO_WEIGHT_TOL else None
         for s, w in zip(node.states, node.weights)
     ]
-    return expansions, [() if e is None else e.weights() for e in expansions]
+    weights = [() if e is None else e.weights() for e in expansions]
+    reduced, count = node.states.registry.without(stage.measure), max(map(len, weights))
+    children = [NodeStates(reduced, [e if e is None else e.coefficient(n) for e in expansions]) for n in range(count)]
+    return children, weights
 
 
-def _attach(node: OutcomeNode, stage: CascadeStage, expansions, weights) -> list:
+def _attach(node: OutcomeNode, stage: CascadeStage, children, weights) -> list:
     """Give ``node`` a child per outcome; return the (child, stage) pairs to go on."""
     going_on = []
-    for n in range(max(map(len, weights))):
+    for n, states in enumerate(children):
         row = tuple(w[n] if n < len(w) else 0.0 for w in weights)
         child = OutcomeNode(
             history=node.history + (n,),
             weights=row,
             probabilities=tuple(p * w for p, w in zip(node.probabilities, row)),
-            states=tuple(e if e is None else e.coefficient(n) for e in expansions),
+            states=states,
             zero_weight=max(row) < ZERO_WEIGHT_TOL,
             covered=True,
         )
@@ -337,22 +376,23 @@ def _split_level(registry: ModeRegistry, measure: str, group: list) -> list:
     for node, stage in group:
         if stage.network is not None:
             stage.network.registry.require_same(registry)
-        top = max(s.degree for s, w in zip(node.states, node.weights) if w >= ZERO_WEIGHT_TOL)
+        live = [w >= ZERO_WEIGHT_TOL for w in node.weights]
+        top = node.states.degree(live)
         entries = sum(math.comb(m + d - 1, d) ** 2 for d in range(top + 1))
         if top > registry.photon_cap or 16 * entries > IMAGE_BLOCK_BUDGET:
             out.append((node, stage, _split_node(node, stage)))
         else:
-            batch.append((top, node, stage))
+            batch.append((top, node, stage, live))
     if not batch:
         return out
     batch.sort(key=lambda item: -item[0])
-    c, tops = registry.index(measure), [top for top, _, _ in batch]
-    alive = np.array([[w >= ZERO_WEIGHT_TOL for w in node.weights] for _, node, _ in batch])
+    c, tops = registry.index(measure), [item[0] for item in batch]
+    alive = np.array([live for *_, live in batch])
     tables = [_Monomials(m, d) for d in range(tops[0] + 1)]
     amp = np.zeros(alive.shape + (tables[-1].span.stop,), complex)
-    for i, k in zip(*np.nonzero(alive)):
-        _level_input(batch[i][1].states[k], tables, amp[i, k])
-    unitary = np.stack([np.eye(m) if s.network is None else s.network.matrix for *_, s in batch])
+    for i, (_, node, _, live) in enumerate(batch):
+        node.states.fill(amp[i], live, tables)
+    unitary = np.stack([np.eye(m) if s.network is None else s.network.matrix for _, _, s, _ in batch])
     block = np.ones((len(batch), 1, 1), complex)
     for d, t in enumerate(tables[1:], 1):
         active = sum(top >= d for top in tops)
@@ -364,7 +404,7 @@ def _split_level(registry: ModeRegistry, measure: str, group: list) -> list:
             amp[:active, k, t.span] = (block * amp[:active, k, None, t.span]).sum(axis=-1)
     mag = np.abs(amp)
     keep = mag > PRUNE_TOL * mag.max(axis=-1, keepdims=True)
-    power = np.concatenate([t.exps[:, c] for t in tables])
+    power, at, keys = _reduction(m, c, tops[0])
     peaks = np.stack([np.where(keep, mag, 0)[..., power == n].max(-1) for n in range(len(tables))], -1)
     keep &= mag > PRUNE_TOL * peaks[..., power]
     norms = np.where(keep, mag * mag, 0.0) * np.concatenate([t.fact for t in tables])
@@ -375,18 +415,14 @@ def _split_level(registry: ModeRegistry, measure: str, group: list) -> list:
     total = np.cumsum(raw, axis=-1)[..., -1]
     if (total[alive] == 0).any():
         raise ZeroStateError("cannot measure the zero state")
-    reduced, powers = registry.without(measure), power.tolist()
-    keys = [e[:c] + e[c + 1 :] for t in tables for e in t.monos]
+    rows = np.zeros(alive.shape + (len(tables), len(keys)), complex)
+    rows[..., power, at] = np.where(keep, amp, 0)
     orders = np.where(keep, power, -1).max(axis=-1).tolist()
-    buckets = [[[{} for _ in range(n + 1)] for n in row] for row in orders]
-    for i, k, p, coeff in zip(*(a.tolist() for a in np.nonzero(keep)), amp[keep].tolist()):
-        buckets[i][k][powers[p]][keys[p]] = coeff
-    trusted = CreationPolynomial._trusted
-    for i, (_, node, stage) in enumerate(batch):
-        polys = [tuple(trusted(reduced, b, pruned=True) for b in bs) for bs in buckets[i]]
-        expansions = [ModeExpansion(measure, registry, reduced, p) if p else None for p in polys]
-        weights = [(raw[i, k, : len(p)] / total[i, k]).tolist() if p else () for k, p in enumerate(polys)]
-        out.append((node, stage, (expansions, weights)))
+    for i, (_, node, stage, live) in enumerate(batch):
+        weights = [(raw[i, k, : n + 1] / total[i, k]).tolist() if n >= 0 else () for k, n in enumerate(orders[i])]
+        unread = [... if reached else None for reached in live]
+        children = [NodeStates(registry.without(measure), unread, rows[i, :, n], keys) for n in range(max(orders[i]) + 1)]
+        out.append((node, stage, (children, weights)))
     return out
 
 
@@ -418,6 +454,18 @@ class _Monomials:
             self.parent = [lower.index[tuple(e)] for e in (self.exps - unit[self.last]).tolist()]
             raised = (lower.exps[:, None, :] + unit).tolist()
             self.raised = np.array([[self.index[tuple(e)] for e in row] for row in raised])
+
+
+@functools.cache
+def _reduction(m: int, c: int, top: int):
+    """Each graded position on m modes up to degree ``top``: its power on mode
+    c and its position on m - 1 modes without c; and the monomials there.  The
+    positions with n photons on c keep their order (within a degree both bases
+    descend lexicographically), so they land on the first reduced positions."""
+    monos = [e for d in range(top + 1) for e in _Monomials(m, d).monos]
+    power = np.array([e[c] for e in monos])
+    rank = np.cumsum(power[:, None] == np.arange(top + 1), axis=0)[np.arange(power.size), power] - 1
+    return power, rank, tuple(e[:c] + e[c + 1 :] for e in monos if e[c] == 0)
 
 
 def validate_strategy(

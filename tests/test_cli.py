@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fockcascade import ModeRegistry, cli, haar_random_unitary, measurement, nogo, suites
+from fockcascade import ModeRegistry, cli, discriminate, haar_random_unitary, measurement, nogo, suites
 from fockcascade.cli import main
 from fockcascade.sampling import random_aux_state
 from helpers import bell_instance, cap_below_the_product, orthogonal_states
@@ -397,6 +397,7 @@ class TestDeterministicCheck:
             return [pathlib.Path(out).read_bytes() for out in outs]
 
         measurement._Monomials.cache_clear()
+        measurement._reduction.cache_clear()
         cold = reports()
         filled = measurement._Monomials.cache_info().currsize
         large = write(tmp_path, "large.json", cascade_document(2, 3, 3))
@@ -414,6 +415,42 @@ class TestDeterministicCheck:
         fresh = [pathlib.Path(out).read_bytes() for out in outs]
         assert cold == warm == fresh
 
+    def test_reading_every_state_first_leaves_the_report_bytes(self, tmp_path, monkeypatch):
+        # States are built when read; reading every node's states before the
+        # report is written changes no byte of it.
+        paths = [str(INSTANCES / "bell.json"), write(tmp_path, "doc.json", cascade_document(3, 2, 2))]
+
+        def reports(tag):
+            outs = [tmp_path / f"{tag}{k}.json" for k in range(len(paths))]
+            for path, out in zip(paths, outs):
+                assert main(["check", path, "--out", str(out)]) == 0
+            return [out.read_bytes() for out in outs]
+
+        plain = reports("plain")
+        trees, run_cascade, emit = [], discriminate.run_cascade, cli._emit
+
+        def recording(*args):
+            trees.append(run_cascade(*args))
+            return trees[-1]
+
+        def reading_first(report, out_path):
+            nodes = [node for tree in trees for node in nodes_of(tree)]
+            assert any(node.states.rows is not None for node in nodes)
+            for node in nodes:
+                list(node.states)
+            trees.clear()
+            emit(report, out_path)
+
+        monkeypatch.setattr(discriminate, "run_cascade", recording)
+        monkeypatch.setattr(cli, "_emit", reading_first)
+        assert reports("read") == plain
+
+
+def nodes_of(node):
+    yield node
+    for child in node.children:
+        yield from nodes_of(child)
+
 
 class TestVerifyNogo:
     def test_small_batch_passes(self, tmp_path, capsys):
@@ -429,6 +466,11 @@ class TestVerifyNogo:
         assert err.startswith("PASS") and "failing" not in err
         worst = max(report["reports"], key=lambda r: max(p["residual"] for p in r["pairs"]))
         assert f"in {worst['description']};" in err
+
+    def test_negative_seed_names_the_flag(self, capsys):
+        assert main(["verify-nogo", "--count", "1", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --seed must be a non-negative integer, got -1\n")
 
     def test_deterministic_bytes(self, tmp_path):
         out1 = tmp_path / "a.json"
@@ -489,6 +531,11 @@ class TestVerifyNogo:
 
 
 class TestOracleCheck:
+    def test_negative_seed_names_the_flag(self, capsys):
+        assert main(["oracle-check", "--count", "1", "--seed", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --seed must be a non-negative integer, got -5\n")
+
     def test_small_batch_passes(self, tmp_path, capsys):
         out = tmp_path / "oracle.json"
         code = main(["oracle-check", "--count", "5", "--seed", "2", "--out", str(out)])

@@ -139,7 +139,7 @@ class TestDenseEvolution:
             shapes.append(a.shape)
             return expm(a)
 
-        monkeypatch.setattr(fockdense.scipy.linalg, "expm", recording_expm)
+        monkeypatch.setattr(scipy.linalg, "expm", recording_expm)
         basis = FockBasis(6, 6)
         fock_unitary(haar_random_unitary(6, np.random.default_rng(37)), basis)
         assert len(shapes) == 7
@@ -209,7 +209,7 @@ class TestEvolutionRoutes:
             raise AssertionError("dense operator formed above the crossover")
 
         monkeypatch.setattr(fockdense, "fock_unitary", forbidden)
-        monkeypatch.setattr(fockdense.scipy.linalg, "expm", forbidden)
+        monkeypatch.setattr(scipy.linalg, "expm", forbidden)
         u = haar_random_unitary(modes, rng)
         for vec in _route_vectors(basis, rng):
             apply_network_dense(vec, u, basis)

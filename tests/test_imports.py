@@ -55,15 +55,24 @@ def test_guard_sees_an_unused_import():
     assert imported_names(tree) - used_names(tree) == {"sig12"}
 
 
-def test_import_leaves_sparse_linalg_unloaded():
-    # Only the dense oracle's large-basis route needs it; loading it at
-    # import would lengthen every `import fockcascade`.
-    code = "import sys, fockcascade; print('scipy.sparse.linalg' in sys.modules)"
+def test_import_and_check_leave_scipy_unloaded():
+    # Only the dense oracle needs scipy, and loading it is over half of
+    # `import fockcascade`: neither the import nor a `check` run loads it.
+    bell = SRC.parent.parent / "instances" / "bell.json"
+    code = (
+        "import io, sys, contextlib, fockcascade\n"
+        "def scipy(): return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "print(scipy())\n"
+        "import fockcascade.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = fockcascade.cli.main(['check', {str(bell)!r}])\n"
+        "print(code, scipy())\n"
+    )
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     run = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert run.stdout.strip() == "False"
+    assert run.stdout.splitlines() == ["[]", "0 []"]
 
 
 def identifiers(tree: ast.AST) -> set[str]:

@@ -388,9 +388,8 @@ class TestOneTree:
 
     def test_input_below_the_weight_floor_keeps_its_state_but_stops(self, monkeypatch):
         # psi_1 reaches outcome 0 on c only with weight ~1e-14: the child
-        # keeps its conditional state, but after the root's two inputs the
-        # next stage reads psi_0's alone into the level kernel and psi_1
-        # reaches none of its outcomes.
+        # keeps its conditional state, but psi_1's row in the next level's
+        # pass is zero and it reaches none of its outcomes.
         reg = ModeRegistry(("c", "d", "e"))
         psi_0 = CreationPolynomial.mode(reg, "d")
         psi_1 = CreationPolynomial.mode(reg, "c") + 1e-7 * CreationPolynomial.mode(reg, "e")
@@ -400,18 +399,19 @@ class TestOneTree:
             branches={0: "d0", 1: "d1"},
         )
         stage = CascadeStage(measure="c", branches={0: second, 1: "c1"})
-        substituted = []
-        original = measurement._level_input
+        filled = []
+        original = measurement.NodeStates.fill
 
-        def recording(state, tables, row):
-            substituted.append(state)
-            return original(state, tables, row)
+        def recording(states, block, live, tables):
+            original(states, block, live, tables)
+            filled.append(block.copy())
 
-        monkeypatch.setattr(measurement, "_level_input", recording)
+        monkeypatch.setattr(measurement.NodeStates, "fill", recording)
         child = run_cascade([psi_0, psi_1], stage).children[0]
         assert 0.0 < child.weights[1] < ZERO_WEIGHT_TOL
         assert abs(vacuum_norm_sq(child.states[1]) - 1e-14) <= 1e-26
-        assert [id(s) for s in substituted] == [id(psi_0), id(psi_1), id(child.states[0])]
+        assert len(filled) == 2 and filled[1].shape[0] == 2
+        assert filled[1][0].any() and not filled[1][1].any()
         assert [leaf.states[1] for leaf in child.children] == [None, None]
 
 
@@ -624,6 +624,92 @@ class TestLargeBasisFallback:
                 run_cascade([psi], stage)
         else:
             assert_chained(run_cascade([psi], stage), stage, [psi], [1.0])
+
+
+class TestStatesBuiltOnRead:
+    """The level pass hands its children rows; ``node.states[k]`` turns a row
+    into a polynomial when it is read, as the per-node route would have."""
+
+    def mixed_level(self):
+        # The root children of test_node_over_the_budget_takes_the_per_node_route:
+        # outcome 0 (8 photons on 5 modes) is split on its own, outcome 1 (7)
+        # in the level pass.
+        reg = ModeRegistry(tuple(f"m{j}" for j in range(6)))
+        term = CreationPolynomial.monomial
+        psi_0 = term(reg, {"m1": 4, "m2": 4}) + term(reg, {"m0": 1, "m3": 7})
+        psi_1 = term(reg, {"m2": 8}) + term(reg, {"m0": 1, "m4": 7}, 0.5j)
+        second = CascadeStage(
+            measure="m1",
+            network=random_network(reg.without("m0"), np.random.default_rng(9)),
+            branches={n: CascadeStage(measure="m2") for n in range(9)},
+        )
+        return [psi_0, psi_1], CascadeStage(measure="m0", branches={0: second, 1: second})
+
+    def test_a_state_read_twice_is_one_object(self):
+        states, stage = self.mixed_level()
+        tree = run_cascade(states, stage)
+        for node in (tree, tree.children[0].children[2], tree.children[1].children[2]):
+            assert node.states[0] is node.states[0] and node.states[1] is node.states[-1]
+            assert node.states[1] is not None
+
+    def test_every_state_reads_as_chained_substitute_and_condition(self, monkeypatch):
+        # Keys and their order as chained substitute + condition give them at
+        # every node.  The children of nodes split on their own are those
+        # calls' results, so their values are equal too; the level pass sums
+        # in another order, so its values agree to rounding.
+        states, stage = self.mixed_level()
+        per_node, split_node = [], measurement._split_node
+
+        def recording(node, branch):
+            per_node.append(node.history)
+            return split_node(node, branch)
+
+        monkeypatch.setattr(measurement, "_split_node", recording)
+        tree = run_cascade(states, stage)
+        assert per_node == [(), (0,)]
+        checked = 0
+
+        def walk(node, branch):
+            nonlocal checked
+            for child in node.children:
+                n = child.history[-1]
+                for parent, weight, state in zip(node.states, node.weights, child.states):
+                    if weight < ZERO_WEIGHT_TOL:
+                        continue
+                    ref = parent if branch.network is None else substitute(parent, branch.network)
+                    got, want = list(state.items()), list(condition(ref, branch.measure, n).state.items())
+                    assert [e for e, _ in got] == [e for e, _ in want], child.history
+                    if node.history in per_node:
+                        assert got == want, child.history
+                    peak = max((abs(c) for _, c in want), default=0.0)
+                    assert all(abs(a - b) <= 1e-12 * peak for (_, a), (_, b) in zip(got, want))
+                    checked += 1
+                if child.children:
+                    walk(child, branch.branches[n])
+
+        walk(tree, stage)
+        assert checked > 100
+
+    def test_inputs_that_did_not_reach_the_parent_read_none(self):
+        # Each input is one photon: measuring c sends psi_0 = c to outcome 1
+        # and psi_1 = d to outcome 0, so below each root child one input is None.
+        reg = ModeRegistry(("c", "d", "e"))
+        psi_0 = CreationPolynomial.mode(reg, "c")
+        psi_1 = CreationPolynomial.mode(reg, "d")
+        second = CascadeStage(
+            measure="d",
+            network=from_matrix(HADAMARD, reg.without("c")),
+            branches={n: CascadeStage(measure="e") for n in range(2)},
+        )
+        tree = run_cascade([psi_0, psi_1], CascadeStage(measure="c", branches={0: second, 1: second}))
+        for outcome, gone in ((0, 0), (1, 1)):
+            child = tree.children[outcome]
+            assert child.weights[gone] == 0.0 and child.states[gone] is not None
+            for node in [child, *child.children]:
+                for grandchild in node.children:
+                    reached = [w >= ZERO_WEIGHT_TOL for w in node.weights]
+                    assert [s is not None for s in grandchild.states] == reached
+                    assert grandchild.states[gone] is None
 
 
 class TestStrategyValidation:
