@@ -16,6 +16,11 @@ contiguous block of the graded basis, and every entry between two sectors is
 an exact zero.  No polynomial expansion or permanent appears anywhere in
 this path.
 
+Order fact: in basis order and with that mode dropped, the states with n
+photons on one mode are the first states of the basis on the other modes
+(dropping a fixed coordinate keeps the lexicographic order within a photon
+number).  ``project_outcome_dense`` and ``measurement._reduction`` rest on it.
+
 ``apply_network_dense`` evolves a vector by one of two routes, chosen from
 the basis size.  Up to ``OPERATOR_MAX_DIMENSION`` states it forms the
 operator with ``fock_unitary`` (a dense ``expm`` per sector) and multiplies.
@@ -45,12 +50,12 @@ Intended for small problems only (roughly up to 6 modes and 6 photons).
 
 from __future__ import annotations
 
-import math
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
 import numpy as np
 
-from .poly import CreationPolynomial
+from .modes import MAX_PHOTON_CAP
+from .poly import _FACTORIAL, CreationPolynomial
 
 # Largest basis evolved by forming the operator; see the module docstring.
 OPERATOR_MAX_DIMENSION = 126
@@ -59,34 +64,34 @@ OPERATOR_MAX_DIMENSION = 126
 class FockBasis:
     """Occupation-number basis with a total-photon cap.
 
-    ``states[k]`` is the k-th occupation tuple in graded lexicographic order;
-    ``index[occ]`` inverts the enumeration; ``sectors[n]`` is the slice of
-    indices holding the states with n photons in total.  The dimension is
-    C(mode_count + photon_cap, mode_count).
+    ``states[k]`` is the k-th occupation tuple in graded lexicographic order,
+    and row k of the int64 array ``occ``; ``index[occ]`` inverts the
+    enumeration; ``sectors[n]`` is the slice of indices holding the states
+    with n photons in total; ``scale[k]`` is sqrt(prod_i n_i!) of state k
+    (exact up to 22 photons).  The dimension is C(mode_count + photon_cap, mode_count).
     """
 
-    __slots__ = ("mode_count", "photon_cap", "states", "index", "sectors")
+    __slots__ = ("mode_count", "photon_cap", "states", "index", "sectors", "occ", "scale")
 
     def __init__(self, mode_count: int, photon_cap: int):
-        if mode_count < 1 or photon_cap < 0:
-            raise ValueError("need at least one mode and a nonnegative cap")
-        self.mode_count = mode_count
-        self.photon_cap = photon_cap
+        if mode_count < 1 or not 0 <= photon_cap <= MAX_PHOTON_CAP:
+            raise ValueError(f"need at least one mode and a cap between 0 and {MAX_PHOTON_CAP}")
+        self.mode_count, self.photon_cap = mode_count, photon_cap
         states: list[tuple[int, ...]] = []
         sectors = []
         for total in range(photon_cap + 1):
-            level = set()
+            level = []  # distinct, as the combinations are
             for combo in combinations_with_replacement(range(mode_count), total):
                 occ = [0] * mode_count
                 for mode in combo:
                     occ[mode] += 1
-                level.add(tuple(occ))
-            start = len(states)
+                level.append(tuple(occ))
+            sectors.append(slice(len(states), len(states) + len(level)))
             states.extend(sorted(level))
-            sectors.append(slice(start, len(states)))
-        self.states = tuple(states)
-        self.sectors = tuple(sectors)
+        self.states, self.sectors = tuple(states), tuple(sectors)
         self.index = {occ: k for k, occ in enumerate(states)}
+        self.occ = np.fromiter(chain.from_iterable(states), np.int64).reshape(-1, mode_count)
+        self.scale = np.sqrt(np.prod(np.array(_FACTORIAL[: photon_cap + 1])[self.occ], axis=1))
 
     @property
     def dimension(self) -> int:
@@ -102,14 +107,11 @@ def embed(p: CreationPolynomial, basis: FockBasis) -> np.ndarray:
     if p.registry.size != basis.mode_count:
         raise ValueError("polynomial and basis mode counts differ")
     if p.degree > basis.photon_cap:
-        raise ValueError(
-            f"polynomial degree {p.degree} exceeds basis cap {basis.photon_cap}"
-        )
+        raise ValueError(f"polynomial degree {p.degree} exceeds basis cap {basis.photon_cap}")
     vec = np.zeros(basis.dimension, dtype=complex)
     for exps, coeff in p.items():
-        vec[basis.index[exps]] = coeff * math.sqrt(
-            math.prod(math.factorial(e) for e in exps)
-        )
+        k = basis.index[exps]
+        vec[k] = coeff * basis.scale[k]
     return vec
 
 
@@ -131,8 +133,7 @@ def _lift_generator(h: np.ndarray, basis: FockBasis) -> np.ndarray:
     Every off-diagonal entry is written once, and the diagonal is summed mode
     by mode, so the matrix equals the per-state loop's entry for entry.
     """
-    dim, modes = basis.dimension, basis.mode_count
-    occ = np.array(basis.states, dtype=np.int64)
+    dim, modes, occ = basis.dimension, basis.mode_count, basis.occ
     base = basis.photon_cap + 1
     # Keys stay below base**(modes + 1); past int64 (many modes, small cap) use Python ints.
     dtype = np.int64 if base ** (modes + 1) < 2**63 else object
@@ -209,15 +210,10 @@ def project_outcome_dense(
         raise ValueError("reduced basis does not drop one mode of the basis")
     if outcome < 0 or outcome > basis.photon_cap:
         raise ValueError(f"outcome {outcome} outside basis cap {basis.photon_cap}")
+    amps = vec[basis.occ[:, mode_position] == outcome]
     out = np.zeros(reduced.dimension, dtype=complex)
-    selected = 0.0
-    for k, occ in enumerate(basis.states):
-        if occ[mode_position] != outcome:
-            continue
-        amp = vec[k]
-        selected += abs(amp) ** 2
-        rest = occ[:mode_position] + occ[mode_position + 1 :]
-        out[reduced.index[rest]] = amp
+    out[: amps.size] = amps  # the first states of ``reduced``, by the order fact
+    selected = sum(abs(amp) ** 2 for amp in amps)  # one state at a time, in basis order
     total = float(np.vdot(vec, vec).real)
     if total == 0:
         raise ValueError("cannot project the zero vector")

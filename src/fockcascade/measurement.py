@@ -16,7 +16,8 @@ Weights over all N sum to one.  :func:`run_cascade` iterates the procedure on
 a whole set of input states at once: mix the surviving modes in a network,
 measure one mode, and pick the next stage (or a decision label) based on the
 outcome, keeping zero-probability branches in the tree but flagged.  The JSON
-form of a strategy is read by ``instancefile``.
+form of a strategy is read by ``instancefile``; :func:`run_cascade` checks its
+structure once, up front, and ``cascade_discrimination`` adds the photon bound.
 
 The tree is evaluated a level at a time from the root down: the nodes of a
 level that measure one mode of one registry share one numpy pass.  Each
@@ -306,6 +307,7 @@ def run_cascade(
         raise ZeroStateError("cannot run a cascade on the zero state or on no state")
     for s in states:
         states[0].registry.require_same(s.registry)
+    validate_strategy(stage, states[0].registry, math.inf)
     root = OutcomeNode(
         history=(),
         weights=(1.0,) * len(states),
@@ -344,22 +346,19 @@ def _attach(node: OutcomeNode, stage: CascadeStage, children, weights) -> list:
     going_on = []
     for n, states in enumerate(children):
         row = tuple(w[n] if n < len(w) else 0.0 for w in weights)
+        branch = stage.branches.get(n)
         child = OutcomeNode(
             history=node.history + (n,),
             weights=row,
             probabilities=tuple(p * w for p, w in zip(node.probabilities, row)),
             states=states,
             zero_weight=max(row) < ZERO_WEIGHT_TOL,
-            covered=True,
+            covered=branch is not None,
+            label=branch if isinstance(branch, str) else None,
         )
         node.children.append(child)
-        branch = stage.branches.get(n)
         if isinstance(branch, CascadeStage) and not child.zero_weight:
             going_on.append((child, branch))
-        elif isinstance(branch, str):
-            child.label = branch
-        elif branch is None:
-            child.covered = False
     return going_on
 
 
@@ -367,15 +366,8 @@ def _split_level(registry: ModeRegistry, measure: str, group: list) -> list:
     """(node, stage, what :func:`_split_node` gives) for the nodes of ``group``,
     in one pass or, past its limits, per node.  Every sum runs over one degree
     block of one node and input, so no number depends on the rest of the batch."""
-    if measure not in registry:
-        raise StrategyError(
-            f"strategy measures mode {measure!r} which is not available "
-            f"(already measured or unknown)"
-        )
     m, out, batch = registry.size, [], []
     for node, stage in group:
-        if stage.network is not None:
-            stage.network.registry.require_same(registry)
         live = [w >= ZERO_WEIGHT_TOL for w in node.weights]
         top = node.states.degree(live)
         entries = sum(math.comb(m + d - 1, d) ** 2 for d in range(top + 1))
@@ -460,8 +452,8 @@ class _Monomials:
 def _reduction(m: int, c: int, top: int):
     """Each graded position on m modes up to degree ``top``: its power on mode
     c and its position on m - 1 modes without c; and the monomials there.  The
-    positions with n photons on c keep their order (within a degree both bases
-    descend lexicographically), so they land on the first reduced positions."""
+    positions with n photons on c land, in order, on the first reduced
+    positions (the order fact of ``fockdense``, in descending order here)."""
     monos = [e for d in range(top + 1) for e in _Monomials(m, d).monos]
     power = np.array([e[c] for e in monos])
     rank = np.cumsum(power[:, None] == np.arange(top + 1), axis=0)[np.arange(power.size), power] - 1
@@ -469,20 +461,21 @@ def _reduction(m: int, c: int, top: int):
 
 
 def validate_strategy(
-    stage: CascadeStage, registry: ModeRegistry, max_photons: int
+    stage: CascadeStage, registry: ModeRegistry, max_photons: float
 ) -> None:
     """Static hygiene pass over a strategy tree.
 
     Checks that every stage measures a still-available mode, that stage
     networks match the surviving registry, and that no branch key references
-    an impossible photon count (more photons than can remain at that point).
-    Every error starts with the failing stage's branch path from the root.
+    an impossible photon count (more photons than can remain at that point;
+    ``math.inf`` checks the structure alone).  Every error starts with the
+    failing stage's branch path from the root.
     """
     _validate_stage(stage, registry, max_photons, "strategy")
 
 
 def _validate_stage(
-    stage: CascadeStage, registry: ModeRegistry, max_photons: int, where: str
+    stage: CascadeStage, registry: ModeRegistry, max_photons: float, where: str
 ) -> None:
     if stage.measure not in registry:
         raise StrategyError(f"{where}: stage measures unavailable mode {stage.measure!r}")

@@ -16,15 +16,14 @@ from .poly import CreationPolynomial, Exponents
 def homogeneous_exponents(
     registry: ModeRegistry, labels: Sequence[str], degree: int
 ) -> list[Exponents]:
-    """All exponent tuples of the given total degree supported on ``labels``."""
-    positions = [registry.index(lab) for lab in labels]
+    """Every exponent tuple of total ``degree`` on ``labels``, sorted, each once."""
     out = []
-    for combo in combinations_with_replacement(positions, degree):
+    for combo in combinations_with_replacement({registry.index(lab) for lab in labels}, degree):
         exps = [0] * registry.size
         for pos in combo:
             exps[pos] += 1
         out.append(tuple(exps))
-    return sorted(set(out))
+    return sorted(out)
 
 
 def _random_coeff(rng: np.random.Generator) -> complex:
@@ -65,10 +64,7 @@ def random_aux_state(
         degrees = list(range(max_photons + 1))
     terms: dict[Exponents, complex] = {}
     for degree in degrees:
-        if degree == 0:
-            terms[(0,) * registry.size] = _random_coeff(rng)
-            continue
-        for exps in homogeneous_exponents(registry, labels, degree):
+        for exps in homogeneous_exponents(registry, labels, degree):  # degree 0: the vacuum
             terms[exps] = _random_coeff(rng)
     return CreationPolynomial(registry, terms)
 

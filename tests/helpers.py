@@ -10,10 +10,13 @@ from fockcascade import (
     CreationPolynomial,
     FockBasis,
     ModeRegistry,
+    beam_splitter,
+    compose,
     from_matrix,
     vacuum_inner_product,
     vacuum_norm_sq,
 )
+from fockcascade.sampling import homogeneous_exponents, random_aux_state
 
 
 def bracket_int(powers: list[tuple[str, int]]) -> int:
@@ -69,6 +72,33 @@ def dense_annihilation_string(exps: tuple[int, ...], basis: FockBasis) -> np.nda
     return out
 
 
+def structured_nogo_instance(rng: np.random.Generator, family: str):
+    """A no-go instance whose states are Fock monomials, so that U' = 0 occurs.
+
+    2-3 system modes and 1-3 photons; 2-3 distinct monomials as the states;
+    a ``random_aux_state`` of 1-2 photons on 1-2 aux modes; a random measured
+    mode.  The network is a permutation (``family="permutation"``), which
+    keeps distinct monomials orthogonal at every outcome, or 1-3 balanced
+    splitters on random mode pairs followed by a permutation
+    (``family="splitters"``).  Returns (aux, states, network, measured).
+    """
+    system = tuple(f"s{k}" for k in range(rng.integers(2, 4)))
+    aux_modes = tuple(f"b{k}" for k in range(rng.integers(1, 3)))
+    reg = ModeRegistry(system + aux_modes)
+    monomials = homogeneous_exponents(reg, system, int(rng.integers(1, 4)))
+    picks = rng.choice(len(monomials), size=min(len(monomials), int(rng.integers(2, 4))), replace=False)
+    states = [CreationPolynomial(reg, {monomials[k]: 1.0}) for k in picks]
+    aux = random_aux_state(rng, reg, aux_modes, int(rng.integers(1, 3)))
+    net = from_matrix(np.eye(reg.size)[rng.permutation(reg.size)], reg)
+    if family == "splitters":
+        for _ in range(rng.integers(1, 4)):
+            i, j = rng.choice(reg.labels, size=2, replace=False)
+            net = compose(beam_splitter(math.pi / 4, 0.0, str(i), str(j), reg), net)
+    elif family != "permutation":
+        raise ValueError(f"unknown family {family!r}")
+    return aux, states, net, reg.labels[int(rng.integers(reg.size))]
+
+
 def random_poly(
     rng: np.random.Generator,
     registry: ModeRegistry,
@@ -76,8 +106,6 @@ def random_poly(
     homogeneous: bool = False,
 ) -> CreationPolynomial:
     """Random polynomial with standard-normal complex coefficients."""
-    from fockcascade.sampling import homogeneous_exponents
-
     degrees = [max_degree] if homogeneous else range(max_degree + 1)
     terms = {}
     for degree in degrees:

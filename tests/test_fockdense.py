@@ -43,6 +43,33 @@ class TestBasis:
         for k, occ in enumerate(basis.states):
             assert basis.index[occ] == k
 
+    def test_occupation_table_and_scale(self):
+        # Row k of occ is states[k], and scale[k] is sqrt(prod n_i!) as the
+        # exact integer product gives it.
+        for modes, cap in [(1, 9), (3, 4), (5, 3)]:
+            basis = FockBasis(modes, cap)
+            assert basis.occ.dtype == np.int64
+            assert basis.occ.tolist() == [list(occ) for occ in basis.states]
+            want = [math.sqrt(math.prod(map(math.factorial, occ))) for occ in basis.states]
+            assert basis.scale.tolist() == want
+
+    def test_states_with_one_outcome_are_the_first_reduced_states(self):
+        # The order fact: in basis order and with the mode dropped, the states
+        # with n photons on a mode are reduced.states[:count], in order.  (One
+        # mode has no reduced basis.)
+        for modes in range(2, 6):
+            for cap in range(6):
+                basis, reduced = FockBasis(modes, cap), FockBasis(modes - 1, cap)
+                for mode in range(modes):
+                    for n in range(cap + 1):
+                        rest = [occ[:mode] + occ[mode + 1 :] for occ in basis.states if occ[mode] == n]
+                        assert rest == list(reduced.states[: len(rest)]), (modes, cap, mode, n)
+                        assert len(rest) == reduced.sectors[cap - n].stop
+
+    def test_cap_past_the_largest_finite_factorial_rejected(self):
+        with pytest.raises(ValueError, match="cap between 0 and 170"):
+            FockBasis(1, 171)
+
 
 class TestEmbed:
     def test_vacuum_unit(self):
@@ -257,6 +284,23 @@ class TestProjection:
             project_outcome_dense(vec, 1, n, basis, reduced)[1] for n in range(4)
         )
         assert abs(total - 1.0) < 1e-12
+
+    def test_matches_the_per_state_selection(self):
+        # Bit for bit the vector and weight of a pass over every basis state
+        # that places each selected amplitude through reduced.index.
+        rng = np.random.default_rng(36)
+        basis, reduced = FockBasis(3, 4), FockBasis(2, 4)
+        vec = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
+        for mode in range(3):
+            for n in range(5):
+                want, selected = np.zeros(reduced.dimension, dtype=complex), 0.0
+                for k, occ in enumerate(basis.states):
+                    if occ[mode] == n:
+                        want[reduced.index[occ[:mode] + occ[mode + 1 :]]] = vec[k]
+                        selected += abs(vec[k]) ** 2
+                out, weight = project_outcome_dense(vec, mode, n, basis, reduced)
+                assert np.array_equal(out, want)
+                assert weight == float(selected) / float(np.vdot(vec, vec).real)
 
     def test_reduced_basis_must_drop_one_mode(self):
         basis = FockBasis(3, 3)

@@ -1,5 +1,9 @@
 """Mode expansion, conditioning, outcome statistics, and cascades."""
 
+import math
+import re
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -296,6 +300,39 @@ class TestCascade:
         )
         with pytest.raises(StrategyError):
             run_cascade([state], stage)
+
+    @pytest.mark.parametrize(
+        "branches, where",
+        [({0: 5}, "branch must be a stage or a label, got 5"), ({"0": "zero"}, "branch key '0'")],
+        ids=["branch-neither-stage-nor-label", "string-key"],
+    )
+    def test_malformed_branch_raises_with_its_path(self, branches, where):
+        # Outcome 2 on c is reached, so the stage below it runs: without the
+        # check, (2, 0) would be a covered leaf labelled None, or an uncovered one.
+        stage = CascadeStage(measure="c", branches={2: CascadeStage(measure="d", branches=branches)})
+        with pytest.raises(StrategyError, match=re.escape(f"strategy.branches[2]: {where}")):
+            run_cascade([hom_state()], stage)
+
+    @pytest.mark.parametrize(
+        "branch, where",
+        [
+            (CascadeStage(measure="d", network=from_matrix(HADAMARD, REG2)), "stage network modes"),
+            (CascadeStage(measure="c"), "stage measures unavailable mode 'c'"),
+        ],
+        ids=["network-on-other-modes", "consumed-mode"],
+    )
+    def test_bad_stage_raises_before_any_level(self, monkeypatch, branch, where):
+        levels, split_level = [], measurement._split_level
+
+        def recording(*args):
+            levels.append(args)
+            return split_level(*args)
+
+        monkeypatch.setattr(measurement, "_split_level", recording)
+        stage = CascadeStage(measure="c", branches={0: "zero", 1: "one", 2: branch})
+        with pytest.raises(StrategyError, match=re.escape(f"strategy.branches[2]: {where}")):
+            run_cascade([hom_state()], stage)
+        assert levels == []
 
     def test_tree_serialization(self):
         state = hom_state()
@@ -625,28 +662,62 @@ class TestLargeBasisFallback:
         else:
             assert_chained(run_cascade([psi], stage), stage, [psi], [1.0])
 
+    def test_sparse_inputs_past_any_dense_basis(self, monkeypatch):
+        # 16 photons on 16 modes: a graded vector up to 16 photons would need
+        # C(32, 16) ~ 6.0e8 positions per input, so only the per-node route
+        # can split these nodes.
+        reg = ModeRegistry(tuple(f"m{j}" for j in range(16)))
+        ones = {f"m{j}": 1 for j in range(1, 16)}
+        a = CreationPolynomial.monomial(reg, {"m0": 1, **ones})
+        b = CreationPolynomial.monomial(reg, {"m0": 2, **ones, "m15": 0})
+
+        def stage(k, remaining):
+            branches = {n: stage(k + 1, remaining - n) if k < 2 else f"n{n}" for n in range(remaining + 1)}
+            return CascadeStage(measure=f"m{k}", branches=branches)
+
+        per_node, split_node = [], measurement._split_node
+
+        def recording(node, branch):
+            per_node.append(node.history)
+            return split_node(node, branch)
+
+        monkeypatch.setattr(measurement, "_split_node", recording)
+        tree = run_cascade([a, b], stage(0, 16))
+        leaves = {leaf.history: leaf for leaf in tree.leaves() if max(leaf.probabilities) > 0.0}
+        assert {h: leaf.probabilities for h, leaf in leaves.items()} == {
+            (1, 1, 1): (1.0, 0.0),
+            (2, 1, 1): (0.0, 1.0),
+        }
+        assert per_node == [(), (1,), (2,), (1, 1), (2, 1)]
+        rest = reg.without("m0").without("m1").without("m2")
+        for (history, k), last in (((1, 1, 1), 0), 16), (((2, 1, 1), 1), 15):
+            want = CreationPolynomial.monomial(rest, {f"m{j}": 1 for j in range(3, last)})
+            got = leaves[history].states[k]
+            assert (got.registry, list(got.items())) == (rest, list(want.items()))
+
+
+def mixed_level():
+    """The root children of test_node_over_the_budget_takes_the_per_node_route:
+    outcome 0 (8 photons on 5 modes) is split on its own, outcome 1 (7) in
+    the level pass."""
+    reg = ModeRegistry(tuple(f"m{j}" for j in range(6)))
+    term = CreationPolynomial.monomial
+    psi_0 = term(reg, {"m1": 4, "m2": 4}) + term(reg, {"m0": 1, "m3": 7})
+    psi_1 = term(reg, {"m2": 8}) + term(reg, {"m0": 1, "m4": 7}, 0.5j)
+    second = CascadeStage(
+        measure="m1",
+        network=random_network(reg.without("m0"), np.random.default_rng(9)),
+        branches={n: CascadeStage(measure="m2") for n in range(9)},
+    )
+    return [psi_0, psi_1], CascadeStage(measure="m0", branches={0: second, 1: second})
+
 
 class TestStatesBuiltOnRead:
     """The level pass hands its children rows; ``node.states[k]`` turns a row
     into a polynomial when it is read, as the per-node route would have."""
 
-    def mixed_level(self):
-        # The root children of test_node_over_the_budget_takes_the_per_node_route:
-        # outcome 0 (8 photons on 5 modes) is split on its own, outcome 1 (7)
-        # in the level pass.
-        reg = ModeRegistry(tuple(f"m{j}" for j in range(6)))
-        term = CreationPolynomial.monomial
-        psi_0 = term(reg, {"m1": 4, "m2": 4}) + term(reg, {"m0": 1, "m3": 7})
-        psi_1 = term(reg, {"m2": 8}) + term(reg, {"m0": 1, "m4": 7}, 0.5j)
-        second = CascadeStage(
-            measure="m1",
-            network=random_network(reg.without("m0"), np.random.default_rng(9)),
-            branches={n: CascadeStage(measure="m2") for n in range(9)},
-        )
-        return [psi_0, psi_1], CascadeStage(measure="m0", branches={0: second, 1: second})
-
     def test_a_state_read_twice_is_one_object(self):
-        states, stage = self.mixed_level()
+        states, stage = mixed_level()
         tree = run_cascade(states, stage)
         for node in (tree, tree.children[0].children[2], tree.children[1].children[2]):
             assert node.states[0] is node.states[0] and node.states[1] is node.states[-1]
@@ -657,7 +728,7 @@ class TestStatesBuiltOnRead:
         # every node.  The children of nodes split on their own are those
         # calls' results, so their values are equal too; the level pass sums
         # in another order, so its values agree to rounding.
-        states, stage = self.mixed_level()
+        states, stage = mixed_level()
         per_node, split_node = [], measurement._split_node
 
         def recording(node, branch):
@@ -710,6 +781,49 @@ class TestStatesBuiltOnRead:
                     reached = [w >= ZERO_WEIGHT_TOL for w in node.weights]
                     assert [s is not None for s in grandchild.states] == reached
                     assert grandchild.states[gone] is None
+
+
+def conserved_overlap_checks(node) -> int:
+    """Check, at every node below ``node`` and for every pair of inputs that
+    both reach it with weight at least ZERO_WEIGHT_TOL, that the children's
+    overlaps sum back to the parent's: sum_N N! <q_N^i|q_N^j> = <p_i|p_j>
+    within 1e-10 |p_i| |p_j| (the stage network is unitary).  Returns the
+    number of (node, pair) checks."""
+    checks = 0
+    if node.children:
+        live = [k for k, w in enumerate(node.weights) if w >= ZERO_WEIGHT_TOL]
+        for i, j in combinations_with_replacement(live, 2):
+            parent = vacuum_inner_product(node.states[i], node.states[j])
+            summed = sum(
+                math.factorial(child.history[-1])
+                * vacuum_inner_product(child.states[i], child.states[j])
+                for child in node.children
+            )
+            scale = math.sqrt(vacuum_norm_sq(node.states[i]) * vacuum_norm_sq(node.states[j]))
+            assert abs(summed - parent) <= 1e-10 * scale, (node.history, i, j)
+            checks += 1
+    return checks + sum(conserved_overlap_checks(child) for child in node.children)
+
+
+class TestOverlapConservation:
+    """The pairwise overlaps of the inputs are carried down the tree: the
+    invariant that takes a stage's no-go down a cascade."""
+
+    SYSTEM = ("s0", "s1", "s2")
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), aux_photons=st.integers(0, 2))
+    def test_every_node_conserves_the_overlaps(self, seed, aux_photons):
+        rng = np.random.default_rng(seed)
+        reg = ModeRegistry(self.SYSTEM + (("b0", "b1") if aux_photons else ()))
+        states = [random_homogeneous_state(rng, reg, self.SYSTEM, 2) for _ in range(3)]
+        aux = random_aux_state(rng, reg, ("b0", "b1"), aux_photons) if aux_photons else None
+        stage = random_full_strategy(rng, reg, 2 + aux_photons)
+        assert conserved_overlap_checks(run_cascade(states, stage, aux)) > 0
+
+    def test_a_level_of_both_routes_conserves_the_overlaps(self):
+        states, stage = mixed_level()
+        assert conserved_overlap_checks(run_cascade(states, stage)) > 0
 
 
 class TestStrategyValidation:

@@ -37,7 +37,7 @@ from fockcascade import (
 from fockcascade import measurement, nogo
 from fockcascade.poly import report_value
 from fockcascade.sampling import random_aux_state, random_homogeneous_state
-from helpers import cap_below_the_product, orthogonal_states
+from helpers import cap_below_the_product, orthogonal_states, structured_nogo_instance
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
@@ -463,6 +463,23 @@ class TestVerifyNoGo:
         assert report.pairs[0].coefficient_zero
         assert report.pairs[0].with_aux_zero
         assert report.pairs[0].zero_equivalent
+
+    @pytest.mark.parametrize("family", ["permutation", "splitters"])
+    def test_structured_instances_reach_both_sides_of_the_zero_equivalence(self, family):
+        # Random states under Haar networks never give U' = 0; Fock monomials
+        # do.  A permutation keeps every pair orthogonal at every outcome, and
+        # splitters mix both cases, so each verdict of the flags is exercised.
+        rng = np.random.default_rng(7)
+        flags = []
+        for _ in range(100):
+            aux, states, net, measured = structured_nogo_instance(rng, family)
+            report = verify_no_go(aux, states, net, measured)
+            assert report.passed, (family, measured, report.max_residual)
+            flags += [(pair.coefficient_zero, pair.with_aux_zero) for pair in report.pairs]
+        if family == "permutation":
+            assert set(flags) == {(True, True)}
+        else:
+            assert set(flags) == {(True, True), (False, False)}
 
     def test_corruption_hook_fails(self, monkeypatch):
         transfer_matrix = nogo.transfer_matrix
