@@ -23,14 +23,14 @@ The tree is evaluated a level at a time from the root down: the nodes of a
 level that measure one mode of one registry share one numpy pass.  Each
 input is a vector over the graded monomial basis, and the network's image of
 degree block d is a matrix built from that of block d - 1.  Per node and
-input the pass prunes where ``substitute`` and ``expand_by_mode`` do: at
-PRUNE_TOL relative to the input's peak after the network, then to each
-bucket's peak.  One scatter through a cached position table turns the kept
-entries into the children's rows over the graded basis of the other modes;
-the next level reads those rows, and ``node.states[k]`` builds its
-polynomial only when it is read.  A node above the photon cap, or whose
-image blocks would exceed IMAGE_BLOCK_BUDGET (4 MiB; 5 modes and 8 photons
-need 6.4), is split on its own through ``substitute``.
+input the pass prunes where ``substitute`` does, at PRUNE_TOL relative to the
+input's peak after the network; no bucket's peak is above that, so the
+buckets drop nothing, as in ``expand_by_mode``.  One scatter through a cached
+position table turns the kept entries into the children's rows over the
+graded basis of the other modes; the next level reads those rows, and
+``node.states[k]`` builds its polynomial only when it is read.  A node above
+the photon cap, or whose image blocks would exceed IMAGE_BLOCK_BUDGET (4 MiB;
+5 modes and 8 photons need 6.4), is split on its own through ``substitute``.
 """
 
 from __future__ import annotations
@@ -88,14 +88,14 @@ class ModeExpansion:
         return [w / total for w in raw]
 
     def reassemble(self) -> CreationPolynomial:
-        """Reconstruct the original polynomial (exact, term permutation only)."""
+        """The polynomial :func:`expand_by_mode` split (exact; drops no term)."""
         pos = self.source_registry.index(self.measured)
         terms: dict[Exponents, complex] = {}
         for n, part in enumerate(self.coefficients):
             for exps, coeff in part.items():
                 full = exps[:pos] + (n,) + exps[pos:]
                 terms[full] = coeff
-        return CreationPolynomial(self.source_registry, terms)
+        return CreationPolynomial._trusted(self.source_registry, terms, pruned=True)
 
 
 def expand_by_mode(p: CreationPolynomial, measured: str) -> ModeExpansion:
@@ -116,7 +116,7 @@ def expand_by_mode(p: CreationPolynomial, measured: str) -> ModeExpansion:
         measured=measured,
         source_registry=registry,
         reduced_registry=reduced,
-        coefficients=tuple(CreationPolynomial._trusted(reduced, b) for b in buckets),
+        coefficients=tuple(CreationPolynomial._trusted(reduced, b, pruned=True) for b in buckets),
     )
 
 
@@ -397,10 +397,8 @@ def _split_level(registry: ModeRegistry, measure: str, group: list) -> list:
     mag = np.abs(amp)
     keep = mag > PRUNE_TOL * mag.max(axis=-1, keepdims=True)
     power, at, keys = _reduction(m, c, tops[0])
-    peaks = np.stack([np.where(keep, mag, 0)[..., power == n].max(-1) for n in range(len(tables))], -1)
-    keep &= mag > PRUNE_TOL * peaks[..., power]
     norms = np.where(keep, mag * mag, 0.0) * np.concatenate([t.fact for t in tables])
-    raw = np.zeros(peaks.shape)
+    raw = np.zeros(alive.shape + (len(tables),))
     for d, t in enumerate(tables):
         for n in range(d + 1):
             raw[..., n] += norms[..., t.span][..., t.exps[:, c] == n].sum(axis=-1)

@@ -16,22 +16,26 @@ rest of the package is built on:
 * ``contract_annihilators(ops, state)`` applies a polynomial of annihilation
   operators to a polynomial state, mode by mode.
 
-Coefficients are complex doubles.  After every arithmetic operation a term is
-dropped when its magnitude falls below ``PRUNE_TOL`` relative to the largest
-coefficient in the result, which keeps floating cancellation residue from
-accumulating.
+Coefficients are complex doubles.  A polynomial keeps only the terms with
+``|c| > PRUNE_TOL * max|c|``, so floating cancellation residue does not
+accumulate.  Terms are dropped only where coefficients are computed: the
+validating constructor, ``+``, ``*``, ``scale``, ``network.substitute``,
+``measurement.product_coefficients``, ``contract_annihilators`` and the
+cascade's level pass (at each input's peak after the network).  A subset of
+a polynomial's terms, its negation and its conjugate meet the bound already,
+so ``-p``, ``p.conjugate()`` and the regroupings in ``measurement`` drop
+nothing.
 
 The public constructor validates every exponent tuple.  Arithmetic on
-polynomials that were already validated builds its result through
-:meth:`CreationPolynomial._trusted`, which prunes the same way but skips the
-per-exponent checks; ``*`` and ``network.substitute`` build theirs through
-:meth:`CreationPolynomial._capped`, which checks the photon cap on the terms
-that survive pruning.  So no exponent ever exceeds the cap: the validating
-constructor, ``*``, ``network.substitute``,
-``measurement.product_coefficients`` and the cascade's level pass (which
-hands a node above the cap to ``substitute``) all keep it there, and
-factorials are read from a table that ends at the largest cap without a
-range check.
+validated polynomials builds its result through
+:meth:`CreationPolynomial._trusted`, which skips those checks; ``*`` and
+``network.substitute`` build theirs through :meth:`CreationPolynomial._capped`,
+which checks the photon cap on the terms that survive pruning.  So no
+exponent ever exceeds the cap: the validating constructor, ``*``,
+``network.substitute``, ``measurement.product_coefficients`` and the
+cascade's level pass (which hands a node above the cap to ``substitute``)
+all keep it there, and factorials are read from a table that ends at the
+largest cap without a range check.
 """
 
 from __future__ import annotations
@@ -132,9 +136,9 @@ class CreationPolynomial:
         """Polynomial over exponent tuples known to be valid for ``registry``.
 
         Only for internal arithmetic whose keys come from validated
-        polynomials and whose values are complex: relative pruning is applied
-        as in ``__init__`` unless the caller has ``pruned`` the terms so
-        already, and the exponent checks are not repeated.
+        polynomials and whose values are complex; the exponent checks are not
+        repeated.  Computed values are pruned as in ``__init__``; regrouped,
+        negated or conjugated terms meet that bound already (``pruned=True``).
         """
         obj = cls.__new__(cls)
         obj.registry = registry
@@ -244,11 +248,7 @@ class CreationPolynomial:
         self.registry.require_same(other.registry)
         out = dict(self._terms)
         for exps, coeff in other._terms.items():
-            acc = out.get(exps, 0.0) + coeff
-            if acc == 0:
-                out.pop(exps, None)
-            else:
-                out[exps] = acc
+            out[exps] = out.get(exps, 0.0) + coeff
         return CreationPolynomial._trusted(self.registry, out)
 
     def __sub__(self, other: "CreationPolynomial") -> "CreationPolynomial":
@@ -256,7 +256,7 @@ class CreationPolynomial:
 
     def __neg__(self) -> "CreationPolynomial":
         return CreationPolynomial._trusted(
-            self.registry, {e: -c for e, c in self._terms.items()}
+            self.registry, {e: -c for e, c in self._terms.items()}, pruned=True
         )
 
     def __mul__(self, other) -> "CreationPolynomial":
@@ -281,7 +281,7 @@ class CreationPolynomial:
     def conjugate(self) -> "CreationPolynomial":
         """Complex-conjugate all coefficients (exponents unchanged)."""
         return CreationPolynomial._trusted(
-            self.registry, {e: c.conjugate() for e, c in self._terms.items()}
+            self.registry, {e: c.conjugate() for e, c in self._terms.items()}, pruned=True
         )
 
     def isclose(self, other: "CreationPolynomial", tol: float = 1e-9) -> bool:

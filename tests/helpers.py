@@ -7,12 +7,14 @@ import math
 import numpy as np
 
 from fockcascade import (
+    CascadeStage,
     CreationPolynomial,
     FockBasis,
     ModeRegistry,
     beam_splitter,
     compose,
     from_matrix,
+    random_network,
     vacuum_inner_product,
     vacuum_norm_sq,
 )
@@ -234,3 +236,38 @@ def lift_generator_loop(h: np.ndarray, basis: FockBasis) -> np.ndarray:
                     row = basis.index[tuple(moved)]
                     out[row, col] += hij * math.sqrt(nj * (occ[i] + 1))
     return out
+
+
+def random_full_strategy(rng, registry, remaining):
+    """Measure every mode in a random order, with a branch for every photon
+    count that can remain; each stage mixes the surviving modes in a random
+    network or, half of the time, not at all.  Leaves carry their history."""
+
+    def stage(reg, remaining, history):
+        measure = reg.labels[rng.integers(reg.size)]
+        rest = reg.without(measure)
+        branches = {}
+        for n in range(remaining + 1):
+            path = history + (n,)
+            branches[n] = stage(rest, remaining - n, path) if rest.size else f"h{path}"
+        network = random_network(reg, rng) if rng.random() < 0.5 else None
+        return CascadeStage(measure=measure, network=network, branches=branches)
+
+    return stage(registry, remaining, ())
+
+
+def mixed_level():
+    """The root children of test_measurement.py::TestLargeBasisFallback::
+    test_node_over_the_budget_takes_the_per_node_route:
+    outcome 0 (8 photons on 5 modes) is split on its own, outcome 1 (7) in
+    the level pass."""
+    reg = ModeRegistry(tuple(f"m{j}" for j in range(6)))
+    term = CreationPolynomial.monomial
+    psi_0 = term(reg, {"m1": 4, "m2": 4}) + term(reg, {"m0": 1, "m3": 7})
+    psi_1 = term(reg, {"m2": 8}) + term(reg, {"m0": 1, "m4": 7}, 0.5j)
+    second = CascadeStage(
+        measure="m1",
+        network=random_network(reg.without("m0"), np.random.default_rng(9)),
+        branches={n: CascadeStage(measure="m2") for n in range(9)},
+    )
+    return [psi_0, psi_1], CascadeStage(measure="m0", branches={0: second, 1: second})

@@ -1,6 +1,7 @@
 """Distinguishability verdicts and the necessity probe."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -18,15 +19,17 @@ from fockcascade import (
     necessity_probe,
     random_network,
     random_nogo_instance,
+    run_cascade,
     stage_orthogonality,
     substitute,
     vacuum_inner_product,
+    vacuum_norm_sq,
     verify_no_go,
 )
 from fockcascade import discriminate, measurement, nogo
 from fockcascade.instancefile import parse_instance
 from fockcascade.sampling import random_aux_state
-from helpers import bell_instance, orthogonal_states
+from helpers import bell_instance, orthogonal_states, random_full_strategy
 
 REG2 = ModeRegistry(("m1", "m2"))
 
@@ -298,6 +301,59 @@ class TestCascadeDiscrimination:
         inst = DiscriminationInstance(states=(p, q), aux=constant_aux(REG2))
         with pytest.raises(StrategyError):
             cascade_discrimination(inst)
+
+
+def worst_reachable_overlap(node) -> float:
+    """The largest |<q_i|q_j>| / (||q_i|| ||q_j||) over the nodes of the tree
+    below ``node`` and the pairs of inputs that reach each node with
+    cumulative probability at least ZERO_WEIGHT_TOL."""
+    reach = [k for k, p in enumerate(node.probabilities) if p >= measurement.ZERO_WEIGHT_TOL]
+    worst = 0.0
+    for i, j in combinations(reach, 2):
+        qi, qj = node.states[i], node.states[j]
+        norms = math.sqrt(vacuum_norm_sq(qi) * vacuum_norm_sq(qj))
+        worst = max(worst, abs(vacuum_inner_product(qi, qj)) / norms)
+    return max([worst] + [worst_reachable_overlap(child) for child in node.children])
+
+
+class TestCascadeClaim:
+    """The paper's claim through a whole cascade.  At every node the
+    children's overlaps sum back to the parent's, so two inputs that reach a
+    node with a nonzero overlap both reach some leaf below it: the verdict
+    is False.  A root stage that fails the no-go makes such a node."""
+
+    def test_reachable_overlap_forces_a_false_verdict(self):
+        reg = ModeRegistry(("s0", "s1", "s2", "b0", "b1"))
+        overlapping = root_failed = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            photons = int(rng.integers(1, 3))
+            states = orthogonal_states(rng, reg, ("s0", "s1", "s2"), photons, 3)
+            aux = random_aux_state(rng, reg, ("b0", "b1"), int(rng.integers(0, 3)))
+            strategy = random_full_strategy(rng, reg, photons + aux.degree)
+            report = cascade_discrimination(DiscriminationInstance(states, aux, strategy))
+            if worst_reachable_overlap(run_cascade(states, strategy, aux)) > 1e-6:
+                overlapping += 1
+                assert report.verdict is False, seed
+            if not report.root_stage.verdict:
+                root_failed += 1
+                assert report.verdict is False, seed
+        assert overlapping and root_failed
+
+    @pytest.mark.parametrize("splitter", [True, False])
+    def test_plus_minus_with_and_without_a_splitter(self, splitter):
+        # Random full strategies never pass, so the True side is pinned here:
+        # a 50:50 splitter sends |+> and |-> to orthogonal single-mode states.
+        states, aux = plus_minus_pair(), constant_aux(REG2)
+        net = beam_splitter(np.pi / 4, 0.0, "m1", "m2", REG2) if splitter else None
+        strategy = full_measurement_strategy(REG2, network=net)
+        report = cascade_discrimination(DiscriminationInstance(states, aux, strategy))
+        worst = worst_reachable_overlap(run_cascade(states, strategy, aux))
+        assert report.verdict is splitter
+        if splitter:
+            assert worst <= 1e-12
+        else:
+            assert worst == pytest.approx(1.0)
 
 
 class TestBellStates:

@@ -318,3 +318,33 @@ def test_quick_equivalence_suite():
 def test_equivalence_suite_at_the_largest_size():
     result = run_oracle_suite(count=10, seed=23, max_modes=6, max_photons=6)
     assert result.all_passed, result.summary()
+
+
+class TestInputChecks:
+    BASIS, REDUCED = FockBasis(2, 2), FockBasis(1, 2)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda b, r: embed(CreationPolynomial.mode(REG2, "c"), FockBasis(3, 2)),
+                "polynomial and basis mode counts differ",
+            ),
+            (
+                lambda b, r: apply_network_dense(np.ones(b.dimension + 1), HADAMARD, b),
+                "vector does not match basis dimension",
+            ),
+            (
+                lambda b, r: project_outcome_dense(np.ones(b.dimension), 0, 3, b, r),
+                "outcome 3 outside basis cap 2",
+            ),
+            (
+                lambda b, r: project_outcome_dense(np.zeros(b.dimension), 1, 0, b, r),
+                "cannot project the zero vector",
+            ),
+        ],
+        ids=["embed-modes", "vector-length", "outcome-past-cap", "zero-vector"],
+    )
+    def test_rejected(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(self.BASIS, self.REDUCED)

@@ -38,7 +38,7 @@ from fockcascade import measurement
 from fockcascade.measurement import ZERO_WEIGHT_TOL, product_coefficients
 from fockcascade.poly import report_value
 from fockcascade.sampling import random_aux_state, random_homogeneous_state
-from helpers import random_poly
+from helpers import mixed_level, random_full_strategy, random_poly
 
 REG2 = ModeRegistry(("c", "d"))
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -357,24 +357,6 @@ class TestCascade:
         keys = {"history", "weights", "probabilities", "zero_weight", "covered", "label", "children"}
         assert set(tree) == keys and all(set(c) == keys for c in tree["children"])
         assert tree["children"][0]["children"] == [] and tree["label"] is None
-
-
-def random_full_strategy(rng, registry, remaining):
-    """Measure every mode in a random order, with a branch for every photon
-    count that can remain; each stage mixes the surviving modes in a random
-    network or, half of the time, not at all.  Leaves carry their history."""
-
-    def stage(reg, remaining, history):
-        measure = reg.labels[rng.integers(reg.size)]
-        rest = reg.without(measure)
-        branches = {}
-        for n in range(remaining + 1):
-            path = history + (n,)
-            branches[n] = stage(rest, remaining - n, path) if rest.size else f"h{path}"
-        network = random_network(reg, rng) if rng.random() < 0.5 else None
-        return CascadeStage(measure=measure, network=network, branches=branches)
-
-    return stage(registry, remaining, ())
 
 
 def orthogonal_candidates(rng, registry, count):
@@ -696,22 +678,6 @@ class TestLargeBasisFallback:
             assert (got.registry, list(got.items())) == (rest, list(want.items()))
 
 
-def mixed_level():
-    """The root children of test_node_over_the_budget_takes_the_per_node_route:
-    outcome 0 (8 photons on 5 modes) is split on its own, outcome 1 (7) in
-    the level pass."""
-    reg = ModeRegistry(tuple(f"m{j}" for j in range(6)))
-    term = CreationPolynomial.monomial
-    psi_0 = term(reg, {"m1": 4, "m2": 4}) + term(reg, {"m0": 1, "m3": 7})
-    psi_1 = term(reg, {"m2": 8}) + term(reg, {"m0": 1, "m4": 7}, 0.5j)
-    second = CascadeStage(
-        measure="m1",
-        network=random_network(reg.without("m0"), np.random.default_rng(9)),
-        branches={n: CascadeStage(measure="m2") for n in range(9)},
-    )
-    return [psi_0, psi_1], CascadeStage(measure="m0", branches={0: second, 1: second})
-
-
 class TestStatesBuiltOnRead:
     """The level pass hands its children rows; ``node.states[k]`` turns a row
     into a polynomial when it is read, as the per-node route would have."""
@@ -880,3 +846,20 @@ class TestStrategyValidation:
     def test_from_dict_bad_key(self):
         with pytest.raises(StrategyError):
             strategy_from_dict({"measure": "c", "branches": {"x": "leaf"}}, REG2)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda p: expand_by_mode(p, "c").coefficient(-1), "expansion index must be nonnegative"),
+            (
+                lambda p: product_coefficients(expand_by_mode(p, "c"), expand_by_mode(p, "d"), 0, 1),
+                "expansions measure 'c' and 'd'",
+            ),
+        ],
+        ids=["negative-index", "different-modes"],
+    )
+    def test_rejected(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(hom_state())

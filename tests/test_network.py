@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fockcascade import (
     CreationPolynomial,
+    LinearNetwork,
     ModeRegistry,
     PhotonCapError,
     RegistryMismatchError,
@@ -414,3 +415,12 @@ class TestJson:
     def test_needs_one_shape(self):
         with pytest.raises(ValueError):
             network_from_dict({}, REG2)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_matrix_rejected(self, entry):
+        matrix = np.eye(2, dtype=complex)
+        matrix[0, 1] = entry
+        with pytest.raises(ValueError, match="^network matrix has non-finite entries$"):
+            LinearNetwork(matrix, REG2)

@@ -787,3 +787,32 @@ class TestDeterminant:
         assert report.determinant_ok
         assert report.passed
         assert result.max_det_deviation <= 1e-12
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda reg: verify_no_go(
+                    CreationPolynomial.mode(reg, "b0"),
+                    [CreationPolynomial.zero(reg), CreationPolynomial.mode(reg, "s0")],
+                    identity(reg),
+                    "c",
+                ),
+                "system state 0 is the zero polynomial",
+            ),
+            (
+                lambda reg: aux_transfer_tables(expand_by_mode(CreationPolynomial.mode(reg, "c"), "c"), -1),
+                "system order must be nonnegative",
+            ),
+            (
+                lambda reg: aux_transfer_tables(expand_by_mode(CreationPolynomial.zero(reg), "c"), 1),
+                "leading auxiliary coefficient has zero norm",
+            ),
+        ],
+        ids=["zero-state", "negative-order", "zero-aux"],
+    )
+    def test_rejected(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(ModeRegistry(("s0", "s1", "b0", "c")))

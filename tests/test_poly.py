@@ -1,6 +1,8 @@
 """Creation-operator polynomial algebra."""
 
 import json
+import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -320,3 +322,18 @@ class TestReportValue:
     def test_unsupported_type_raises(self, value):
         with pytest.raises(TypeError):
             report_value(value)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            ({(-1, 0): 1.0}, "invalid exponent -1 in (-1, 0)"),
+            ({(1.5, 0): 1.0}, "invalid exponent 1.5 in (1.5, 0)"),
+            ({(1, 0): complex(math.nan, 0.0)}, "coefficient (nan+0j) of (1, 0) is not finite"),
+            ({(0, 1): math.inf}, "coefficient (inf+0j) of (0, 1) is not finite"),
+        ],
+    )
+    def test_constructor_rejects(self, terms, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CreationPolynomial(REG2, terms)
