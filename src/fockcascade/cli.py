@@ -167,11 +167,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--photon-cap", type=int, default=DEFAULT_PHOTON_CAP,
-        help="per-mode occupation cap (default %(default)s)",
+        help="per-mode occupation cap of simulate, condition and check (default %(default)s); "
+        "verify-nogo and oracle-check draw at the default cap and ignore it",
     )
     parser.add_argument(
         "--tolerance", type=float, default=CONSTRUCTION_TOL,
-        help="unitarity tolerance for loaded networks (default %(default)s)",
+        help="unitarity tolerance of the \"matrix\" networks that simulate, condition and check "
+        "load (default %(default)s); \"elements\" networks are built at 1e-10 and composed at "
+        "1e-8, and verify-nogo and oracle-check ignore it",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

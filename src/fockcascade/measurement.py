@@ -28,9 +28,12 @@ input's peak after the network; no bucket's peak is above that, so the
 buckets drop nothing, as in ``expand_by_mode``.  One scatter through a cached
 position table turns the kept entries into the children's rows over the
 graded basis of the other modes; the next level reads those rows, and
-``node.states[k]`` builds its polynomial only when it is read.  A node above
-the photon cap, or whose image blocks would exceed IMAGE_BLOCK_BUDGET (4 MiB;
-5 modes and 8 photons need 6.4), is split on its own through ``substitute``.
+``node.states[k]`` builds its polynomial only when it is read.  Past the
+photon cap the pass checks the entries it keeps, as ``substitute`` does.
+Only a node whose image blocks would exceed IMAGE_BLOCK_BUDGET (4 MiB; 5
+modes and 8 photons need 6.4) is split on its own, through ``substitute``.
+A pass node's children never are (one mode fewer, no more photons), so only
+the top of a tree is: the root, and the children of such nodes until they fit.
 """
 
 from __future__ import annotations
@@ -370,8 +373,7 @@ def _split_level(registry: ModeRegistry, measure: str, group: list) -> list:
     for node, stage in group:
         live = [w >= ZERO_WEIGHT_TOL for w in node.weights]
         top = node.states.degree(live)
-        entries = sum(math.comb(m + d - 1, d) ** 2 for d in range(top + 1))
-        if top > registry.photon_cap or 16 * entries > IMAGE_BLOCK_BUDGET:
+        if 16 * sum(math.comb(m + d - 1, d) ** 2 for d in range(top + 1)) > IMAGE_BLOCK_BUDGET:
             out.append((node, stage, _split_node(node, stage)))
         else:
             batch.append((top, node, stage, live))
@@ -396,6 +398,10 @@ def _split_level(registry: ModeRegistry, measure: str, group: list) -> list:
             amp[:active, k, t.span] = (block * amp[:active, k, None, t.span]).sum(axis=-1)
     mag = np.abs(amp)
     keep = mag > PRUNE_TOL * mag.max(axis=-1, keepdims=True)
+    if tops[0] > registry.photon_cap:  # as CreationPolynomial._capped: kept entries count
+        peak = np.where(keep, np.concatenate([t.exps for t in tables]).max(axis=-1), 0).max()
+        if peak > registry.photon_cap:
+            raise PhotonCapError(f"occupation {peak} exceeds photon cap {registry.photon_cap}")
     power, at, keys = _reduction(m, c, tops[0])
     norms = np.where(keep, mag * mag, 0.0) * np.concatenate([t.fact for t in tables])
     raw = np.zeros(alive.shape + (len(tables),))
@@ -429,7 +435,9 @@ class _Monomials:
     order, at positions ``span`` after those of lower degree.  Monomial e is
     monomial ``parent[e]`` of degree d - 1 times mode ``last[e]`` (its first
     occupied mode), and ``raised[g, j]`` is monomial g of degree d - 1 times
-    mode j.  ``fact`` is the product of the factorials of the occupations."""
+    mode j.  ``fact`` is the product of the factorials of the occupations,
+    which IMAGE_BLOCK_BUDGET keeps within the table (at most 90 photons on
+    two or more modes; one mode holds no more than the photon cap)."""
 
     def __init__(self, m: int, d: int):
         combos = combinations_with_replacement(range(m), d)
@@ -459,7 +467,7 @@ def _reduction(m: int, c: int, top: int):
 
 
 def validate_strategy(
-    stage: CascadeStage, registry: ModeRegistry, max_photons: float
+    stage: CascadeStage, registry: ModeRegistry, max_photons: float, where: str = "strategy"
 ) -> None:
     """Static hygiene pass over a strategy tree.
 
@@ -467,14 +475,8 @@ def validate_strategy(
     networks match the surviving registry, and that no branch key references
     an impossible photon count (more photons than can remain at that point;
     ``math.inf`` checks the structure alone).  Every error starts with the
-    failing stage's branch path from the root.
+    failing stage's branch path from the root, ``where``.
     """
-    _validate_stage(stage, registry, max_photons, "strategy")
-
-
-def _validate_stage(
-    stage: CascadeStage, registry: ModeRegistry, max_photons: float, where: str
-) -> None:
     if stage.measure not in registry:
         raise StrategyError(f"{where}: stage measures unavailable mode {stage.measure!r}")
     if stage.network is not None and stage.network.registry != registry:
@@ -491,7 +493,7 @@ def _validate_stage(
                 f"photons can arrive here)"
             )
         if isinstance(branch, CascadeStage):
-            _validate_stage(
+            validate_strategy(
                 branch, registry.without(stage.measure), max_photons - n, f"{where}.branches[{n}]"
             )
         elif not isinstance(branch, str):

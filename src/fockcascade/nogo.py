@@ -77,7 +77,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .measurement import ModeExpansion, condition, expand_by_mode, product_coefficients
+from .measurement import ModeExpansion, expand_by_mode, product_coefficients
 from .network import LinearNetwork, measured_row_network, substitute
 from .poly import (
     CreationPolynomial,
@@ -214,14 +214,11 @@ def conditional_overlap_vector(
     _, pair_order = system_expansions([psi_i, psi_j], net, measured)
     n_s = pair_order if system_order is None else int(system_order)
     n_a = expand_by_mode(substitute(aux, net), measured).order
-    total_i = substitute(aux * psi_i, net)
-    total_j = substitute(aux * psi_j, net)
+    exp_i, exp_j = (expand_by_mode(substitute(aux * psi, net), measured) for psi in (psi_i, psi_j))
     out = np.zeros(n_s + 1, dtype=complex)
     for s in range(n_s + 1):
-        outcome = n_a + n_s - s
-        cond_i = condition(total_i, measured, outcome).state
-        cond_j = condition(total_j, measured, outcome).state
-        out[s] = vacuum_inner_product(cond_i, cond_j)
+        n = n_a + n_s - s
+        out[s] = vacuum_inner_product(exp_i.coefficient(n), exp_j.coefficient(n))
     return out
 
 

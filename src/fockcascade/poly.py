@@ -30,12 +30,12 @@ The public constructor validates every exponent tuple.  Arithmetic on
 validated polynomials builds its result through
 :meth:`CreationPolynomial._trusted`, which skips those checks; ``*`` and
 ``network.substitute`` build theirs through :meth:`CreationPolynomial._capped`,
-which checks the photon cap on the terms that survive pruning.  So no
-exponent ever exceeds the cap: the validating constructor, ``*``,
-``network.substitute``, ``measurement.product_coefficients`` and the
-cascade's level pass (which hands a node above the cap to ``substitute``)
-all keep it there, and factorials are read from a table that ends at the
-largest cap without a range check.
+which checks the photon cap on the terms that survive pruning and names the
+largest.  So no exponent ever exceeds the cap: the validating constructor,
+``*``, ``network.substitute``, ``measurement.product_coefficients`` and the
+cascade's level pass (on the entries it keeps, by the same rule) all keep it
+there, and factorials are read from a table that ends at the largest cap
+without a range check.
 """
 
 from __future__ import annotations
@@ -154,11 +154,11 @@ class CreationPolynomial:
     ) -> "CreationPolynomial":
         """:meth:`_trusted` for an arithmetic result of total degree at most
         ``degree``: when that passes the photon cap, the terms that survive
-        pruning are checked against it."""
+        pruning are checked against it, and the error names the largest."""
         obj, cap = cls._trusted(registry, terms), registry.photon_cap
         over = [e for exps in obj._terms for e in exps if e > cap] if degree > cap else []
         if over:
-            raise PhotonCapError(f"occupation {over[0]} exceeds photon cap {cap}")
+            raise PhotonCapError(f"occupation {max(over)} exceeds photon cap {cap}")
         return obj
 
     # -- constructors ------------------------------------------------------

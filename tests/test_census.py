@@ -31,6 +31,23 @@ def test_a_failing_checkout_is_reported(tmp_path):
     assert lines == [f"{cmds[0][0]}: exit 0 -> 1"]
 
 
+def test_capped_files_are_checked_at_each_cap(tmp_path):
+    cmds = census.commands(instances=census.INSTANCES[:1], suites=(), capped=census.INSTANCES[:1])
+    capped = [argv[:3] for name, argv in cmds if name.startswith("check-cap")]
+    assert capped == [["--photon-cap", str(cap), "check"] for cap in census.CAPS]
+    assert census.census(ROOT, ROOT, cmds, tmp_path) == []
+
+
+def test_a_different_error_line_is_reported(tmp_path):
+    # Both trees exit 2 on a missing file; the stub's error line differs.
+    stub = tmp_path / "stub" / "src" / "fockcascade"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text("")
+    (stub / "cli.py").write_text("import sys\n\ndef main(argv):\n    print('error: stub', file=sys.stderr)\n    return 2\n")
+    cmds = [("check-missing", ["check", str(tmp_path / "missing.json")])]
+    assert census.census(ROOT, tmp_path / "stub", cmds, tmp_path) == ["check-missing: error line differs"]
+
+
 @pytest.mark.parametrize(
     "new, expected",
     [

@@ -452,6 +452,25 @@ def nodes_of(node):
         yield from nodes_of(child)
 
 
+class TestGlobalFlags:
+    """``--photon-cap`` and ``--tolerance`` reach only the commands that read
+    an instance file, and ``--tolerance`` only its "matrix" networks."""
+
+    @pytest.mark.parametrize("suite", [["verify-nogo", "--count", "3"], ["oracle-check", "--count", "3"]])
+    def test_the_suites_ignore_both(self, tmp_path, suite):
+        # The default verify-nogo draws hold up to 3 photons, past a cap of 2.
+        plain, flagged = tmp_path / "plain.json", tmp_path / "flagged.json"
+        assert main([*suite, "--out", str(plain)]) == 0
+        assert main(["--photon-cap", "2", "--tolerance", "0", *suite, "--out", str(flagged)]) == 0
+        assert plain.read_bytes() == flagged.read_bytes()
+
+    def test_tolerance_checks_only_matrix_networks(self, tmp_path, capsys):
+        assert main(["--tolerance", "0", "check", str(INSTANCES / "bell.json")]) == 0
+        path = write(tmp_path, "inst.json", pair_instance(HADAMARD_JSON))
+        assert main(["--tolerance", "0", "simulate", path]) == 3
+        assert main(["simulate", path]) == 0
+
+
 class TestVerifyNogo:
     def test_small_batch_passes(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -507,6 +507,20 @@ def assert_chained(node, stage, references, probabilities):
             assert_chained(child, stage.branches[n], states, probs)
 
 
+def recorded_split_nodes(monkeypatch) -> list:
+    """Record the history of every node that ``_split_node`` receives, and
+    check that it is the root or a child of a node it split itself."""
+    per_node, split_node = [], measurement._split_node
+
+    def recording(node, branch):
+        assert node.history == () or node.history[:-1] in per_node, node.history
+        per_node.append(node.history)
+        return split_node(node, branch)
+
+    monkeypatch.setattr(measurement, "_split_node", recording)
+    return per_node
+
+
 class TestChainedReference:
     """The level-by-level cascade against chained ``condition`` calls on the
     formed products ``aux * psi_k`` and, on one fixed case, against the dense
@@ -632,17 +646,48 @@ class TestLargeBasisFallback:
         assert_chained(tree, stage, products, [1.0, 1.0])
 
     @pytest.mark.parametrize("cap, raises", [(3, True), (4, False)])
-    def test_node_above_the_photon_cap_raises_as_substitute_does(self, cap, raises):
-        # d^2 e^2 keeps 4 photons below the root; the splitter puts up to 4 on d.
+    def test_node_above_the_photon_cap_raises_as_substitute_does(self, cap, raises, monkeypatch):
+        # d^2 e^2 keeps 4 photons below the root; the splitter puts up to 4 on
+        # d.  The level pass checks the cap itself: no node is split on its own.
         reg = ModeRegistry(("c", "d", "e"), photon_cap=cap)
         psi = CreationPolynomial.monomial(reg, {"d": 2, "e": 2})
         second = CascadeStage(measure="d", network=from_matrix(HADAMARD, reg.without("c")))
         stage = CascadeStage(measure="c", branches={0: second})
+        per_node = recorded_split_nodes(monkeypatch)
         if raises:
             with pytest.raises(PhotonCapError, match="occupation 4 exceeds photon cap 3"):
                 run_cascade([psi], stage)
         else:
             assert_chained(run_cascade([psi], stage), stage, [psi], [1.0])
+        assert per_node == []
+
+    def test_node_above_the_photon_cap_without_a_network_takes_the_pass(self, monkeypatch):
+        # Every node has up to 6 photons against a cap of 3, but no stage
+        # mixes: every kept occupation is one of the inputs', within the cap.
+        reg = ModeRegistry(("c", "d", "e"), photon_cap=3)
+        term = CreationPolynomial.monomial
+        states = [
+            term(reg, {"c": 3, "d": 3}) + term(reg, {"c": 1, "d": 2, "e": 3}, 0.5j),
+            term(reg, {"d": 3, "e": 3}) + term(reg, {"c": 2, "e": 2}),
+        ]
+        second = CascadeStage(measure="d", branches={n: CascadeStage(measure="e") for n in range(4)})
+        stage = CascadeStage(measure="c", branches={n: second for n in range(4)})
+        per_node = recorded_split_nodes(monkeypatch)
+        tree = run_cascade(states, stage)
+        assert per_node == []
+        assert_chained(tree, stage, states, [1.0, 1.0])
+
+    @pytest.mark.parametrize("budget", [1 << 22, 0])
+    def test_photon_cap_error_names_the_largest_kept_occupation(self, budget, monkeypatch):
+        # Below the root, d^2 e^3 + d^3 e through the splitter keeps terms with
+        # 4 and 5 photons on one mode; the error names 5 on either route.
+        reg = ModeRegistry(("c", "d", "e"), photon_cap=3)
+        term = CreationPolynomial.monomial
+        psi = term(reg, {"c": 1, "d": 2, "e": 3}) + term(reg, {"c": 1, "d": 3, "e": 1})
+        second = CascadeStage(measure="d", network=from_matrix(HADAMARD, reg.without("c")))
+        monkeypatch.setattr(measurement, "IMAGE_BLOCK_BUDGET", budget)
+        with pytest.raises(PhotonCapError, match="occupation 5 exceeds photon cap 3"):
+            run_cascade([psi], CascadeStage(measure="c", branches={1: second}))
 
     def test_sparse_inputs_past_any_dense_basis(self, monkeypatch):
         # 16 photons on 16 modes: a graded vector up to 16 photons would need
@@ -657,13 +702,7 @@ class TestLargeBasisFallback:
             branches = {n: stage(k + 1, remaining - n) if k < 2 else f"n{n}" for n in range(remaining + 1)}
             return CascadeStage(measure=f"m{k}", branches=branches)
 
-        per_node, split_node = [], measurement._split_node
-
-        def recording(node, branch):
-            per_node.append(node.history)
-            return split_node(node, branch)
-
-        monkeypatch.setattr(measurement, "_split_node", recording)
+        per_node = recorded_split_nodes(monkeypatch)
         tree = run_cascade([a, b], stage(0, 16))
         leaves = {leaf.history: leaf for leaf in tree.leaves() if max(leaf.probabilities) > 0.0}
         assert {h: leaf.probabilities for h, leaf in leaves.items()} == {
@@ -676,6 +715,86 @@ class TestLargeBasisFallback:
             want = CreationPolynomial.monomial(rest, {f"m{j}": 1 for j in range(3, last)})
             got = leaves[history].states[k]
             assert (got.registry, list(got.items())) == (rest, list(want.items()))
+
+
+def chained_cap_errors(states, stage) -> list[str]:
+    """The tree of ``run_cascade(states, stage)`` walked a level at a time
+    through chained ``substitute`` and ``condition``: the PhotonCapError
+    message of every input that overflows at the first level where one
+    does, or [] when none does."""
+    level = [(list(states), stage)]
+    while level:
+        errors, below = [], []
+        for refs, branch in level:
+            totals = []
+            for s in refs:
+                try:
+                    totals.append(s if s is None or branch.network is None else substitute(s, branch.network))
+                except PhotonCapError as exc:
+                    errors.append(str(exc))
+            if len(totals) < len(refs):
+                continue
+            for n, nxt in branch.branches.items():
+                conds = [None if s is None else condition(s, branch.measure, n) for s in totals]
+                kept = [c.state if c is not None and c.weight >= ZERO_WEIGHT_TOL else None for c in conds]
+                if isinstance(nxt, CascadeStage) and any(s is not None for s in kept):
+                    below.append((kept, nxt))
+        if errors:
+            return errors
+        level = below
+    return []
+
+
+class TestPhotonCap:
+    """Past the photon cap, ``run_cascade`` raises where chained
+    ``substitute`` and ``condition`` do, on either route, and names the
+    largest occupation that survives pruning."""
+
+    SYSTEM = ("s0", "s1", "s2")
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), cap=st.integers(1, 3), photons=st.integers(2, 4))
+    def test_raises_where_the_chained_reference_does(self, seed, cap, photons):
+        # Budgets: every node in the pass; the root on its own and its
+        # children (two modes, at most 55 entries) in the pass; every node
+        # on its own.
+        rng = np.random.default_rng(seed)
+        reg = ModeRegistry(self.SYSTEM, photon_cap=cap)
+        photons = min(photons, 3 * cap)
+        states = []
+        for _ in range(2):
+            draw = random_homogeneous_state(rng, ModeRegistry(self.SYSTEM), self.SYSTEM, photons)
+            states.append(CreationPolynomial(reg, {e: c for e, c in draw.items() if max(e) <= cap}))
+        stage = random_full_strategy(rng, reg, photons)
+        expected = chained_cap_errors(states, stage)
+        for budget in (1 << 22, 16 * 100, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(measurement, "IMAGE_BLOCK_BUDGET", budget)
+                recorded_split_nodes(mp)
+                if expected:
+                    with pytest.raises(PhotonCapError) as info:
+                        run_cascade(states, stage)
+                    assert str(info.value) in expected, budget
+                else:
+                    assert_chained(run_cascade(states, stage), stage, states, [1.0, 1.0])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_roundoff_above_the_cap_is_pruned_before_the_check(self, seed, monkeypatch):
+        # psi, 3 photons within a cap of 2 on each of 3 modes, lies in the null
+        # space of the network's a^3, b^3 and c^3 output coefficients, so the
+        # pass leaves only roundoff (about 1e-16 of the peak) on occupation 3.
+        rng = np.random.default_rng(seed)
+        wide, reg = ModeRegistry(("a", "b", "c"), photon_cap=3), ModeRegistry(("a", "b", "c"), photon_cap=2)
+        matrix = random_network(wide, rng).matrix
+        combos = combinations_with_replacement(range(3), 3)
+        monos = [e for e in (tuple(c.count(j) for j in range(3)) for c in combos) if max(e) <= 2]
+        images = [substitute(CreationPolynomial(wide, {e: 1.0}), from_matrix(matrix, wide)) for e in monos]
+        bunched = np.array([[p.coefficient(e) for p in images] for e in ((3, 0, 0), (0, 3, 0), (0, 0, 3))])
+        psi = CreationPolynomial(reg, dict(zip(monos, np.linalg.svd(bunched)[2][-1].conj())))
+        stage = CascadeStage(measure="a", network=from_matrix(matrix, reg))
+        per_node = recorded_split_nodes(monkeypatch)
+        assert_chained(run_cascade([psi], stage), stage, [psi], [1.0])
+        assert per_node == []
 
 
 class TestStatesBuiltOnRead:
@@ -695,13 +814,7 @@ class TestStatesBuiltOnRead:
         # calls' results, so their values are equal too; the level pass sums
         # in another order, so its values agree to rounding.
         states, stage = mixed_level()
-        per_node, split_node = [], measurement._split_node
-
-        def recording(node, branch):
-            per_node.append(node.history)
-            return split_node(node, branch)
-
-        monkeypatch.setattr(measurement, "_split_node", recording)
+        per_node = recorded_split_nodes(monkeypatch)
         tree = run_cascade(states, stage)
         assert per_node == [(), (0,)]
         checked = 0

@@ -8,7 +8,9 @@ a seed holds an aux of up to ``k % 4`` photons), then runs every command of
 :func:`commands` once per checkout, each in a fresh process with
 ``PYTHONPATH=<checkout>/src``:
 
-- ``check`` on the 108 files and on ``instances/*.json``;
+- ``check`` on the 108 files and on ``instances/*.json``, and
+  ``--photon-cap 3 check`` and ``--photon-cap 4 check`` on the 36 files of
+  seed 1, where some nodes pass the cap;
 - ``simulate``, and ``condition --outcome 0/1/2`` on the first mode, on
   ``instances/*.json``;
 - ``verify-nogo`` at its defaults and at ``--count 50`` with caps 4/3/4/3;
@@ -17,9 +19,10 @@ a seed holds an aux of up to ``k % 4`` photons), then runs every command of
 
 It prints every report that differs between the two (for a ``check`` report,
 with how many numbers differ), then how many match, and exits 0 only when
-every report and exit code is the same.  It uses the standard library and,
-to write the instance files, the package and ``perfbench/workloads.py`` of
-the checkout it belongs to.
+all 194 reports, exit codes and error lines are the same; the one-line
+stderr of a command is compared when it exits 2-5, on an error.  It uses the
+standard library and, to write the instance files, the package and
+``perfbench/workloads.py`` of the checkout it belongs to.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = tuple(sorted((ROOT / "instances").glob("*.json")))
 SEEDS = (1, 2, 3)
 FILES_PER_SEED = 36
+CAPS = (3, 4)
 SUITES = (
     ("verify-nogo", ["verify-nogo"]),
     ("verify-nogo-50", ["verify-nogo", "--count", "50", "--max-system-modes", "4",
@@ -61,9 +65,16 @@ def write_cascade_files(workdir: Path) -> list[Path]:
     return paths
 
 
-def commands(cascade_files=(), instances=INSTANCES, suites=SUITES) -> list[tuple[str, list[str]]]:
-    """(report name, CLI arguments) of every report the census compares."""
+def commands(
+    cascade_files=(), instances=INSTANCES, suites=SUITES, capped=()
+) -> list[tuple[str, list[str]]]:
+    """(report name, CLI arguments) of every report the census compares;
+    the ``capped`` files are checked once more at each of CAPS."""
     out = [(f"check-{p.stem}", ["check", str(p)]) for p in [*cascade_files, *instances]]
+    out += [
+        (f"check-cap{cap}-{p.stem}", ["--photon-cap", str(cap), "check", str(p)])
+        for cap in CAPS for p in capped
+    ]
     for p in instances:
         first = json.loads(p.read_text(encoding="utf-8"))["modes"][0]
         out.append((f"simulate-{p.stem}", ["simulate", str(p)]))
@@ -74,18 +85,20 @@ def commands(cascade_files=(), instances=INSTANCES, suites=SUITES) -> list[tuple
     return out + [(name, list(argv)) for name, argv in suites]
 
 
-def run_tree(tree: Path, cmds, outdir: Path) -> dict[str, tuple[int, bytes | None]]:
-    """Run every command on the package of ``tree``: its exit code and report."""
+def run_tree(tree: Path, cmds, outdir: Path) -> dict[str, tuple[int, bytes | None, str | None]]:
+    """Run every command on the package of ``tree``: its exit code, its report,
+    and its stderr when it exits on an error (2-5)."""
     outdir.mkdir(parents=True)
     env = {**os.environ, "PYTHONPATH": str(Path(tree) / "src")}
     results = {}
     for name, argv in cmds:
         report = outdir / f"{name}.json"
-        code = subprocess.run(
+        run = subprocess.run(
             [sys.executable, "-c", RUN_CLI, *argv, "--out", str(report)],
-            cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        ).returncode
-        results[name] = (code, report.read_bytes() if report.exists() else None)
+            cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        error = run.stderr if 2 <= run.returncode <= 5 else None
+        results[name] = (run.returncode, report.read_bytes() if report.exists() else None, error)
     return results
 
 
@@ -116,10 +129,13 @@ def census(old: Path, new: Path, cmds, workdir: Path) -> list[str]:
     after = run_tree(new, cmds, Path(workdir) / "new")
     lines = []
     for name, _ in cmds:
-        (code_a, a), (code_b, b) = before[name], after[name]
-        if (code_a, a) == (code_b, b):
+        (code_a, a, error_a), (code_b, b, error_b) = before[name], after[name]
+        if (code_a, a, error_a) == (code_b, b, error_b):
             continue
-        line = f"{name}: exit {code_a} -> {code_b}" if code_a != code_b else f"{name}: report differs"
+        if code_a != code_b:
+            line = f"{name}: exit {code_a} -> {code_b}"
+        else:
+            line = f"{name}: report differs" if a != b else f"{name}: error line differs"
         if name.startswith("check-") and a is not None and b is not None:
             count = differences(json.loads(a), json.loads(b))
             line += ", shapes differ" if count is None else ", {} numbers and {} other values differ".format(*count)
@@ -133,7 +149,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("new", type=Path, help="root of the second checkout")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="census-") as tmp:
-        cmds = commands(write_cascade_files(Path(tmp)))
+        files = write_cascade_files(Path(tmp))
+        cmds = commands(files, capped=files[:FILES_PER_SEED])
         lines = census(args.old.resolve(), args.new.resolve(), cmds, Path(tmp))
     print("\n".join(lines + [f"{len(cmds) - len(lines)} of {len(cmds)} reports identical"]))
     return 0 if not lines else 1
