@@ -373,7 +373,8 @@ def _split_level(registry: ModeRegistry, measure: str, group: list) -> list:
     for node, stage in group:
         live = [w >= ZERO_WEIGHT_TOL for w in node.weights]
         top = node.states.degree(live)
-        if 16 * sum(math.comb(m + d - 1, d) ** 2 for d in range(top + 1)) > IMAGE_BLOCK_BUDGET:
+        entries = sum(math.comb(m + d - 1, d) ** 2 for d in range(top + 1))
+        if 16 * entries > IMAGE_BLOCK_BUDGET:
             out.append((node, stage, _split_node(node, stage)))
         else:
             batch.append((top, node, stage, live))
@@ -467,7 +468,7 @@ def _reduction(m: int, c: int, top: int):
 
 
 def validate_strategy(
-    stage: CascadeStage, registry: ModeRegistry, max_photons: float, where: str = "strategy"
+    stage: CascadeStage, registry: ModeRegistry, max_photons: float
 ) -> None:
     """Static hygiene pass over a strategy tree.
 
@@ -475,8 +476,14 @@ def validate_strategy(
     networks match the surviving registry, and that no branch key references
     an impossible photon count (more photons than can remain at that point;
     ``math.inf`` checks the structure alone).  Every error starts with the
-    failing stage's branch path from the root, ``where``.
+    failing stage's branch path from the root.
     """
+    _validate_stage(stage, registry, max_photons, "strategy")
+
+
+def _validate_stage(
+    stage: CascadeStage, registry: ModeRegistry, max_photons: float, where: str
+) -> None:
     if stage.measure not in registry:
         raise StrategyError(f"{where}: stage measures unavailable mode {stage.measure!r}")
     if stage.network is not None and stage.network.registry != registry:
@@ -493,7 +500,7 @@ def validate_strategy(
                 f"photons can arrive here)"
             )
         if isinstance(branch, CascadeStage):
-            validate_strategy(
+            _validate_stage(
                 branch, registry.without(stage.measure), max_photons - n, f"{where}.branches[{n}]"
             )
         elif not isinstance(branch, str):

@@ -689,6 +689,21 @@ class TestLargeBasisFallback:
         with pytest.raises(PhotonCapError, match="occupation 5 exceeds photon cap 3"):
             run_cascade([psi], CascadeStage(measure="c", branches={1: second}))
 
+    def test_a_level_splits_its_per_node_nodes_before_the_pass(self, monkeypatch):
+        # Below the root, outcome 0 leaves d^2 e^2 (55 image entries, in the
+        # pass; the splitter keeps 4 photons on one mode) and outcome 1 leaves
+        # d^2 e^3 + d^3 e (91 entries, on its own; 5 photons).  Both overflow
+        # a cap of 3 in one level: the node split on its own raises first.
+        reg = ModeRegistry(("c", "d", "e"), photon_cap=3)
+        term = CreationPolynomial.monomial
+        psi = term(reg, {"d": 2, "e": 2}) + term(reg, {"c": 1, "d": 2, "e": 3}) + term(reg, {"c": 1, "d": 3, "e": 1})
+        second = CascadeStage(measure="d", network=from_matrix(HADAMARD, reg.without("c")))
+        monkeypatch.setattr(measurement, "IMAGE_BLOCK_BUDGET", 16 * 60)
+        per_node = recorded_split_nodes(monkeypatch)
+        with pytest.raises(PhotonCapError, match="occupation 5 exceeds photon cap 3"):
+            run_cascade([psi], CascadeStage(measure="c", branches={0: second, 1: second}))
+        assert per_node == [(), (1,)]
+
     def test_sparse_inputs_past_any_dense_basis(self, monkeypatch):
         # 16 photons on 16 modes: a graded vector up to 16 photons would need
         # C(32, 16) ~ 6.0e8 positions per input, so only the per-node route
