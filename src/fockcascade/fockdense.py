@@ -21,27 +21,26 @@ photons on one mode are the first states of the basis on the other modes
 (dropping a fixed coordinate keeps the lexicographic order within a photon
 number).  ``project_outcome_dense`` and ``measurement._reduction`` rest on it.
 
-``apply_network_dense`` evolves a vector by one of two routes, chosen from
-the basis size.  Up to ``OPERATOR_MAX_DIMENSION`` states it forms the
-operator with ``fock_unitary`` (a dense ``expm`` per sector) and multiplies.
-Above it, it computes only the action of each sector's exponential on the
-vector's part in that sector (``scipy.sparse.linalg.expm_multiply``, a few
-dozen sparse products instead of an O(d^3) ``expm``) and skips the empty
-sectors.  Both routes exponentiate the same lifted generator, so neither
-leans on the polynomial pipeline.  Both stay because each is faster on its
-side: the action pays about 2 ms of fixed cost per occupied sector, which
-the small operator never does.  Per call, with one BLAS thread on a 2-core
-Intel Xeon host (best of five, Haar network, a vector over one sector or
-over all of them):
+``apply_network_dense`` exponentiates a block of at most
+``OPERATOR_MAX_DIMENSION`` states as an operator (a dense ``expm``, then a
+product) and a larger sector by its action on the vector's part there
+(``scipy.sparse.linalg.expm_multiply``: a few dozen sparse products in place
+of an O(d^3) ``expm``, after about 1.5-2.5 ms of norm estimates).  A basis
+of at most that many states is one block: it forms ``fock_unitary`` and
+multiplies.  Above it only the occupied sectors are lifted, each straight
+into a dense block or a ``csr_array``, so no whole-space matrix is built.
+Both routes exponentiate the same lifted generator, so neither leans on the
+polynomial pipeline.  Per sector, lift included, with one BLAS thread on a
+2-core Intel Xeon host (best of nine, Haar network):
 
-    states  modes x photons   operator, ms     action, ms
-                              one / all        one / all sectors
-      84      6 x 3            2.1 / 2.1        4.0 / 9.1
-     126      5 x 4            2.8 / 3.1        2.8 / 9.1
-     210      6 x 4            8.5 / 11.2       4.2 / 9.3
-     252      5 x 5           13.2 / 12.1       6.1 / 10.8
-     462      6 x 5             62 / 66         6.9 / 16.8
-     924      6 x 6            289 / 300       14.1 / 27.5
+    states  modes x photons   operator, ms   action, ms
+      21        6 x 2             0.16           1.5
+      56        6 x 3             0.91           1.6
+      84        4 x 6             2.3            2.5
+     126        6 x 4             6.6            2.2
+     210        5 x 6            23.6            3.0
+     252        6 x 5            36.6            3.3
+     462        6 x 6           173              5.5
 
 ``fock_unitary`` stays public for callers that need the operator itself.
 
@@ -57,8 +56,9 @@ import numpy as np
 from .modes import MAX_PHOTON_CAP
 from .poly import _FACTORIAL, CreationPolynomial
 
-# Largest basis evolved by forming the operator; see the module docstring.
-OPERATOR_MAX_DIMENSION = 126
+# Largest block, whole basis or one sector, exponentiated as an operator;
+# see the module docstring.
+OPERATOR_MAX_DIMENSION = 84
 
 
 class FockBasis:
@@ -123,46 +123,56 @@ def _mode_generator(unitary: np.ndarray) -> np.ndarray:
     return z @ np.diag(np.log(eigs)) @ z.conj().T
 
 
-def _lift_generator(h: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """Second-quantized generator sum_ij h[i,j] a^dag_i a_j on the basis.
+def _lift_generator(
+    h: np.ndarray, basis: FockBasis, sector: slice = slice(None), sparse: bool = False
+):
+    """Second-quantized generator sum_ij h[i,j] a^dag_i a_j on the states of
+    ``sector`` (one photon-number sector, or by default the whole basis), as
+    a dense array or, when ``sparse``, a ``csr_array`` built from its entries.
 
     Each occupation is keyed by one integer: its total photon number, then a
     digit per mode in base ``photon_cap + 1``.  These keys ascend in the
     graded lexicographic order of the basis, so a hop a^dag_i a_j, which adds
-    ``stride[i] - stride[j]`` to the key, finds its row by binary search.
-    Every off-diagonal entry is written once, and the diagonal is summed mode
-    by mode, so the matrix equals the per-state loop's entry for entry.
+    ``stride[i] - stride[j]`` to the key, finds its row by binary search
+    (it never leaves a sector).  Every off-diagonal entry is written once,
+    and the diagonal is summed mode by mode, so the matrix equals the
+    per-state loop's entry for entry.
     """
-    dim, modes, occ = basis.dimension, basis.mode_count, basis.occ
+    occ = basis.occ[sector]
+    dim, modes = occ.shape
     base = basis.photon_cap + 1
     # Keys stay below base**(modes + 1); past int64 (many modes, small cap) use Python ints.
     dtype = np.int64 if base ** (modes + 1) < 2**63 else object
     stride = np.array([base ** (modes - 1 - k) for k in range(modes)], dtype=dtype)
     keys = occ.sum(axis=1).astype(dtype) * base**modes + occ.astype(dtype) @ stride
-    out = np.zeros((dim, dim), dtype=complex)
     diagonal = np.zeros(dim, dtype=complex)
     for j in range(modes):
         diagonal += h[j, j] * occ[:, j]
-    out[np.arange(dim), np.arange(dim)] = diagonal
     col, j = np.nonzero(occ)
     col, j, i = np.repeat(col, modes), np.repeat(j, modes), np.tile(np.arange(modes), len(j))
     hop = i != j
     col, j, i = col[hop], j[hop], i[hop]
     row = np.searchsorted(keys, keys[col] + stride[i] - stride[j])
-    out[row, col] += h[i, j] * np.sqrt(occ[col, j] * (occ[col, i] + 1))
+    rows, cols = np.concatenate([np.arange(dim), row]), np.concatenate([np.arange(dim), col])
+    values = np.concatenate([diagonal, h[i, j] * np.sqrt(occ[col, j] * (occ[col, i] + 1))])
+    if sparse:
+        from scipy.sparse import csr_array
+        return csr_array((values, (rows, cols)), shape=(dim, dim))
+    out = np.zeros((dim, dim), dtype=complex)
+    out[rows, cols] = values
     return out
 
 
-def _fock_generator(mode_unitary: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """The lifted generator of a mode unitary, which must act on every mode
-    of the basis."""
+def _checked_generator(mode_unitary: np.ndarray, basis: FockBasis) -> np.ndarray:
+    """The mode generator of a unitary, which must act on every mode of the
+    basis."""
     unitary = np.asarray(mode_unitary, dtype=complex)
     if unitary.shape != (basis.mode_count, basis.mode_count):
         raise ValueError(
             f"mode unitary of shape {unitary.shape} does not act on "
             f"{basis.mode_count} modes"
         )
-    return _lift_generator(_mode_generator(unitary), basis)
+    return _mode_generator(unitary)
 
 
 def fock_unitary(mode_unitary: np.ndarray, basis: FockBasis) -> np.ndarray:
@@ -170,7 +180,7 @@ def fock_unitary(mode_unitary: np.ndarray, basis: FockBasis) -> np.ndarray:
     one photon-number sector at a time (entries between sectors are exact
     zeros)."""
     import scipy.linalg
-    gen = _fock_generator(mode_unitary, basis)
+    gen = _lift_generator(_checked_generator(mode_unitary, basis), basis)
     out = np.zeros_like(gen)
     for sector in basis.sectors:
         out[sector, sector] = scipy.linalg.expm(gen[sector, sector])
@@ -179,21 +189,22 @@ def fock_unitary(mode_unitary: np.ndarray, basis: FockBasis) -> np.ndarray:
 
 def apply_network_dense(vec: np.ndarray, mode_unitary: np.ndarray, basis: FockBasis) -> np.ndarray:
     """Evolve a dense Fock vector through a mode unitary: by the operator up
-    to ``OPERATOR_MAX_DIMENSION`` states, by the exponential's action on each
-    occupied sector above it."""
+    to ``OPERATOR_MAX_DIMENSION`` states, sector by occupied sector above it."""
     if vec.shape != (basis.dimension,):
         raise ValueError("vector does not match basis dimension")
     if basis.dimension <= OPERATOR_MAX_DIMENSION:
         return fock_unitary(mode_unitary, basis) @ vec
-    # Imported here, as scipy.linalg above: scipy is over half of `import fockcascade`.
-    from scipy.sparse import csr_array
+    import scipy.linalg
     from scipy.sparse.linalg import expm_multiply
 
-    gen = _fock_generator(mode_unitary, basis)
+    h = _checked_generator(mode_unitary, basis)
     out = np.zeros(basis.dimension, dtype=complex)
     for sector in basis.sectors:
-        if vec[sector].any():
-            out[sector] = expm_multiply(csr_array(gen[sector, sector]), vec[sector])
+        part = vec[sector]
+        if part.any():
+            sparse = part.size > OPERATOR_MAX_DIMENSION
+            block = _lift_generator(h, basis, sector, sparse)
+            out[sector] = expm_multiply(block, part) if sparse else scipy.linalg.expm(block) @ part
     return out
 
 

@@ -38,14 +38,31 @@ def test_capped_files_are_checked_at_each_cap(tmp_path):
     assert census.census(ROOT, ROOT, cmds, tmp_path) == []
 
 
-def test_a_different_error_line_is_reported(tmp_path):
-    # Both trees exit 2 on a missing file; the stub's error line differs.
-    stub = tmp_path / "stub" / "src" / "fockcascade"
+def stub_tree(root, main_body):
+    """A checkout whose ``fockcascade.cli.main(argv)`` runs ``main_body``."""
+    stub = root / "src" / "fockcascade"
     stub.mkdir(parents=True)
     (stub / "__init__.py").write_text("")
-    (stub / "cli.py").write_text("import sys\n\ndef main(argv):\n    print('error: stub', file=sys.stderr)\n    return 2\n")
+    (stub / "cli.py").write_text("import sys\n\ndef main(argv):\n    " + main_body + "\n")
+    return root
+
+
+def test_a_different_error_line_is_reported(tmp_path):
+    # Both trees exit 2 on a missing file; the stub's error line differs.
+    stub = stub_tree(tmp_path / "stub", "print('error: stub', file=sys.stderr)\n    return 2")
     cmds = [("check-missing", ["check", str(tmp_path / "missing.json")])]
-    assert census.census(ROOT, tmp_path / "stub", cmds, tmp_path) == ["check-missing: error line differs"]
+    assert census.census(ROOT, stub, cmds, tmp_path) == ["check-missing: error line differs"]
+
+
+def test_differing_suite_reports_are_counted(tmp_path):
+    # Every differing report is counted, not only the `check` ones.
+    write = "open(argv[argv.index('--out') + 1], 'w').write('{}')\n    return 0"
+    old = stub_tree(tmp_path / "tree-old", write.format('{"max_deviation": 1e-15, "all_passed": true}'))
+    new = stub_tree(tmp_path / "tree-new", write.format('{"max_deviation": 2e-15, "all_passed": false}'))
+    cmds = [("oracle-check", ["oracle-check"])]
+    assert census.census(old, new, cmds, tmp_path) == [
+        "oracle-check: report differs, 1 numbers and 1 other values differ"
+    ]
 
 
 @pytest.mark.parametrize(

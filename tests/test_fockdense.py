@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from fockcascade import (
     CreationPolynomial,
@@ -198,6 +199,20 @@ def test_lift_matches_the_per_state_loop():
                     modes, cap)
 
 
+def test_sector_blocks_match_the_whole_space_lift():
+    rng = np.random.default_rng(44)
+    for modes in range(1, 7):
+        for cap in range(7):
+            basis = FockBasis(modes, cap)
+            h = _mode_generator(haar_random_unitary(modes, rng))
+            whole = _lift_generator(h, basis)
+            for sector in basis.sectors:
+                block = whole[sector, sector]
+                assert np.array_equal(_lift_generator(h, basis, sector), block), (modes, cap)
+                sparse = _lift_generator(h, basis, sector, sparse=True)
+                assert np.array_equal(sparse.toarray(), block), (modes, cap)
+
+
 def test_lift_keys_beyond_int64():
     # One photon on 63 modes: keys reach 2**63, past the int64 range.
     basis = FockBasis(63, 1)
@@ -229,19 +244,35 @@ class TestEvolutionRoutes:
 
     @pytest.mark.parametrize("modes,cap", LARGE)
     def test_action_forms_no_operator(self, modes, cap, monkeypatch):
+        # No operator on the basis and no `expm` of a block above the
+        # crossover: one `expm_multiply` per occupied sector above it.
         rng = np.random.default_rng(42)
         basis = FockBasis(modes, cap)
+        expm, expm_multiply = scipy.linalg.expm, scipy.sparse.linalg.expm_multiply
+        actions = []
 
         def forbidden(*args):
             raise AssertionError("dense operator formed above the crossover")
 
+        def small_expm(block):
+            assert block.shape[0] <= OPERATOR_MAX_DIMENSION, block.shape
+            return expm(block)
+
+        def counting(block, part):
+            actions.append(block.shape[0])
+            return expm_multiply(block, part)
+
         monkeypatch.setattr(fockdense, "fock_unitary", forbidden)
-        monkeypatch.setattr(scipy.linalg, "expm", forbidden)
+        monkeypatch.setattr(scipy.linalg, "expm", small_expm)
+        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", counting)
         u = haar_random_unitary(modes, rng)
         for vec in _route_vectors(basis, rng):
+            actions.clear()
             apply_network_dense(vec, u, basis)
+            sizes = [s.stop - s.start for s in basis.sectors if vec[s].any()]
+            assert actions == [n for n in sizes if n > OPERATOR_MAX_DIMENSION]
 
-    @pytest.mark.parametrize("modes,cap", [(2, 2), (4, 4), (4, 5), (5, 4)])
+    @pytest.mark.parametrize("modes,cap", [(2, 2), (4, 4), (3, 6), (6, 3)])
     def test_operator_up_to_the_crossover(self, modes, cap, monkeypatch):
         basis = FockBasis(modes, cap)
         assert basis.dimension <= OPERATOR_MAX_DIMENSION

@@ -57,22 +57,30 @@ def test_guard_sees_an_unused_import():
 
 def test_import_and_check_leave_scipy_unloaded():
     # Only the dense oracle needs scipy, and loading it is over half of
-    # `import fockcascade`: neither the import nor a `check` run loads it.
-    bell = SRC.parent.parent / "instances" / "bell.json"
+    # `import fockcascade`: neither the import nor a `check`, `verify-nogo`,
+    # `simulate` or `condition` run loads it.
+    bell = str(SRC.parent.parent / "instances" / "bell.json")
+    runs = [
+        ["check", bell],
+        ["verify-nogo", "--count", "3"],
+        ["simulate", bell],
+        ["condition", bell, "--measure", "aH", "--outcome", "1"],
+    ]
     code = (
         "import io, sys, contextlib, fockcascade\n"
         "def scipy(): return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
         "print(scipy())\n"
         "import fockcascade.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = fockcascade.cli.main(['check', {str(bell)!r}])\n"
-        "print(code, scipy())\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = fockcascade.cli.main(argv)\n"
+        "    print(code, scipy())\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     run = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert run.stdout.splitlines() == ["[]", "0 []"]
+    assert run.stdout.splitlines() == ["[]"] + ["0 []"] * len(runs)
 
 
 def identifiers(tree: ast.AST) -> set[str]:

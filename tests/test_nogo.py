@@ -481,6 +481,25 @@ class TestVerifyNoGo:
         else:
             assert set(flags) == {(True, True), (False, False)}
 
+    @pytest.mark.parametrize(
+        "first, mixed, u_prime, v",
+        [("s1", "s0", [0, 1], [0, 0.5]), ("s0", "s1", [1, 0], [1.25, 0])],
+    )
+    def test_overlap_at_one_end_of_the_window(self, first, mixed, u_prime, v):
+        # U' is nonzero only at one end, so V is nonzero only at one end of
+        # the window n_a..n_a+n_s: a window shifted by one coefficient towards
+        # the other end reads V = 0 and breaks the zero-equivalence.
+        reg = ModeRegistry(("s0", "s1", "b0"))
+        s0, s1 = CreationPolynomial.mode(reg, "s0"), CreationPolynomial.mode(reg, "s1")
+        aux = CreationPolynomial.mode(reg, "b0") + CreationPolynomial.constant(reg, 0.5)
+        net = beam_splitter(math.pi / 4, 0.0, mixed, "b0", reg)
+        report = verify_no_go(aux, [CreationPolynomial.mode(reg, first), s0 + s1], net, "s0")
+        pair = report.pairs[0]
+        assert np.abs(np.array(pair.coefficient) - u_prime).max() < 1e-12
+        assert np.abs(np.array(pair.with_aux) - v).max() < 1e-12
+        assert not pair.coefficient_zero and not pair.with_aux_zero
+        assert report.passed
+
     def test_corruption_hook_fails(self, monkeypatch):
         transfer_matrix = nogo.transfer_matrix
 

@@ -17,12 +17,12 @@ a seed holds an aux of up to ``k % 4`` photons), then runs every command of
 - ``oracle-check`` at its defaults and at ``--count 40 --max-modes 6
   --max-photons 6 --seed 3``.
 
-It prints every report that differs between the two (for a ``check`` report,
-with how many numbers differ), then how many match, and exits 0 only when
-all 194 reports, exit codes and error lines are the same; the one-line
-stderr of a command is compared when it exits 2-5, on an error.  It uses the
-standard library and, to write the instance files, the package and
-``perfbench/workloads.py`` of the checkout it belongs to.
+It prints every report that differs between the two (when both wrote one,
+with how many numbers and other values differ), then how many match, and
+exits 0 only when all 194 reports, exit codes and error lines are the same;
+the one-line stderr of a command is compared when it exits 2-5, on an
+error.  It uses the standard library and, to write the instance files, the
+package and ``perfbench/workloads.py`` of the checkout it belongs to.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def census(old: Path, new: Path, cmds, workdir: Path) -> list[str]:
             line = f"{name}: exit {code_a} -> {code_b}"
         else:
             line = f"{name}: report differs" if a != b else f"{name}: error line differs"
-        if name.startswith("check-") and a is not None and b is not None:
+        if a is not None and b is not None:
             count = differences(json.loads(a), json.loads(b))
             line += ", shapes differ" if count is None else ", {} numbers and {} other values differ".format(*count)
         lines.append(line)
