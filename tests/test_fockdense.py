@@ -1,28 +1,36 @@
 """Dense Fock-space reference path."""
 
 import math
+import re
 
 import numpy as np
 import pytest
-import scipy.linalg
-import scipy.sparse.linalg
+import scipy.linalg  # the test-only reference: the package itself runs on numpy alone
+import scipy.special
 
 from fockcascade import (
     CreationPolynomial,
     FockBasis,
     ModeRegistry,
     apply_network_dense,
+    beam_splitter,
     embed,
     fock_unitary,
     from_matrix,
     haar_random_unitary,
+    phase_shifter,
     project_outcome_dense,
     random_network,
     run_oracle_suite,
     substitute,
 )
 from fockcascade import fockdense
-from fockcascade.fockdense import OPERATOR_MAX_DIMENSION, _lift_generator, _mode_generator
+from fockcascade.fockdense import (
+    OPERATOR_MAX_DIMENSION,
+    _chebyshev_coefficients,
+    _lift_generator,
+    _mode_generator,
+)
 from helpers import lift_generator_loop, random_poly
 
 REG2 = ModeRegistry(("c", "d"))
@@ -153,25 +161,25 @@ class TestDenseEvolution:
                 mode_unitary = haar_random_unitary(modes, rng)
                 u = fock_unitary(mode_unitary, basis)
                 whole = scipy.linalg.expm(
-                    _lift_generator(_mode_generator(mode_unitary), basis)
+                    _lift_generator(_mode_generator(mode_unitary)[0], basis)
                 )
                 assert np.abs(u - whole).max() < 1e-12, (modes, cap)
                 unitarity = np.abs(u.conj().T @ u - np.eye(basis.dimension)).max()
                 assert unitarity < 1e-12, (modes, cap)
 
     def test_one_expm_per_photon_number_sector(self, monkeypatch):
+        # One `eigh` for the mode generator, then one per sector block.
         shapes = []
-        expm = scipy.linalg.expm
+        eigh = np.linalg.eigh
 
-        def recording_expm(a):
+        def recording_eigh(a):
             shapes.append(a.shape)
-            return expm(a)
+            return eigh(a)
 
-        monkeypatch.setattr(scipy.linalg, "expm", recording_expm)
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         basis = FockBasis(6, 6)
         fock_unitary(haar_random_unitary(6, np.random.default_rng(37)), basis)
-        assert len(shapes) == 7
-        assert max(shapes) == (462, 462)
+        assert shapes == [(6, 6)] + [(s.stop - s.start,) * 2 for s in basis.sectors]
 
     @pytest.mark.parametrize("size", [1, 3])
     def test_mode_unitary_must_act_on_every_mode(self, size):
@@ -194,7 +202,7 @@ def test_lift_matches_the_per_state_loop():
         for cap in range(7):
             basis = FockBasis(modes, cap)
             for u in (haar_random_unitary(modes, rng), np.eye(modes), reversal):
-                h = _mode_generator(u)
+                h = _mode_generator(u)[0]
                 assert np.array_equal(_lift_generator(h, basis), lift_generator_loop(h, basis)), (
                     modes, cap)
 
@@ -204,20 +212,30 @@ def test_sector_blocks_match_the_whole_space_lift():
     for modes in range(1, 7):
         for cap in range(7):
             basis = FockBasis(modes, cap)
-            h = _mode_generator(haar_random_unitary(modes, rng))
+            h = _mode_generator(haar_random_unitary(modes, rng))[0]
             whole = _lift_generator(h, basis)
             for sector in basis.sectors:
                 block = whole[sector, sector]
                 assert np.array_equal(_lift_generator(h, basis, sector), block), (modes, cap)
-                sparse = _lift_generator(h, basis, sector, sparse=True)
-                assert np.array_equal(sparse.toarray(), block), (modes, cap)
 
 
 def test_lift_keys_beyond_int64():
     # One photon on 63 modes: keys reach 2**63, past the int64 range.
     basis = FockBasis(63, 1)
-    h = _mode_generator(haar_random_unitary(63, np.random.default_rng(40)))
+    h = _mode_generator(haar_random_unitary(63, np.random.default_rng(40)))[0]
     assert np.array_equal(_lift_generator(h, basis), lift_generator_loop(h, basis))
+
+
+@pytest.mark.parametrize("rho", [1e-8, 0.3, 1.0, 2.5, 7.0, 15.0, 19.0, 40.0])
+def test_chebyshev_coefficients_are_bessel_values(rho):
+    # c_0 = J_0(rho) and c_k = 2 i^k J_k(rho) as scipy evaluates them, and the
+    # first omitted J_k is below 2^-53.
+    c = _chebyshev_coefficients(rho)
+    k = np.arange(len(c))
+    want = 2 * 1j**k * scipy.special.jv(k, rho)
+    want[0] /= 2
+    assert np.abs(c - want).max() < 2e-15
+    assert abs(scipy.special.jv(len(c), rho)) < 2.0**-53
 
 
 def _route_vectors(basis, rng):
@@ -244,33 +262,33 @@ class TestEvolutionRoutes:
 
     @pytest.mark.parametrize("modes,cap", LARGE)
     def test_action_forms_no_operator(self, modes, cap, monkeypatch):
-        # No operator on the basis and no `expm` of a block above the
-        # crossover: one `expm_multiply` per occupied sector above it.
+        # No operator on the basis and no dense exponential (`eigh`) of a
+        # block above the crossover: one Chebyshev action per occupied sector
+        # past the vacuum, which the evolution leaves as it is.
         rng = np.random.default_rng(42)
         basis = FockBasis(modes, cap)
-        expm, expm_multiply = scipy.linalg.expm, scipy.sparse.linalg.expm_multiply
+        eigh, action = np.linalg.eigh, fockdense._sector_action
         actions = []
 
         def forbidden(*args):
             raise AssertionError("dense operator formed above the crossover")
 
-        def small_expm(block):
-            assert block.shape[0] <= OPERATOR_MAX_DIMENSION, block.shape
-            return expm(block)
+        def small_eigh(a):
+            assert a.shape[0] <= OPERATOR_MAX_DIMENSION, a.shape
+            return eigh(a)
 
-        def counting(block, part):
-            actions.append(block.shape[0])
-            return expm_multiply(block, part)
+        def counting(h, phases, b, n, part):
+            actions.append(part.size)
+            return action(h, phases, b, n, part)
 
         monkeypatch.setattr(fockdense, "fock_unitary", forbidden)
-        monkeypatch.setattr(scipy.linalg, "expm", small_expm)
-        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", counting)
+        monkeypatch.setattr(np.linalg, "eigh", small_eigh)
+        monkeypatch.setattr(fockdense, "_sector_action", counting)
         u = haar_random_unitary(modes, rng)
         for vec in _route_vectors(basis, rng):
             actions.clear()
             apply_network_dense(vec, u, basis)
-            sizes = [s.stop - s.start for s in basis.sectors if vec[s].any()]
-            assert actions == [n for n in sizes if n > OPERATOR_MAX_DIMENSION]
+            assert actions == [s.stop - s.start for s in basis.sectors[1:] if vec[s].any()]
 
     @pytest.mark.parametrize("modes,cap", [(2, 2), (4, 4), (3, 6), (6, 3)])
     def test_operator_up_to_the_crossover(self, modes, cap, monkeypatch):
@@ -288,6 +306,36 @@ class TestEvolutionRoutes:
         vec = _route_vectors(basis, rng)[1]
         apply_network_dense(vec, haar_random_unitary(modes, rng), basis)
         assert calls == [basis.dimension]
+
+
+def _degenerate_networks(modes, rng):
+    """The identity, a permutation that fixes mode 0, a 50:50 splitter on
+    two modes, a pi phase on one mode, and a Haar network."""
+    reg = ModeRegistry(tuple(f"m{k}" for k in range(modes)))
+    cycle = np.eye(modes)[[0, *range(2, modes), 1]]
+    return [
+        np.eye(modes),
+        cycle,
+        beam_splitter(math.pi / 4, 0.0, "m0", "m1", reg).matrix,
+        phase_shifter(math.pi, "m0", reg).matrix,
+        haar_random_unitary(modes, rng),
+    ]
+
+
+def test_repeated_eigenvalues_against_logm():
+    # Any logarithm lifts to the same operator, so the reference exponentiates
+    # the lift of scipy's principal logarithm over the whole basis.
+    rng = np.random.default_rng(45)
+    for modes in range(2, 7):
+        for u in _degenerate_networks(modes, rng):
+            assert np.abs(scipy.linalg.expm(_mode_generator(u)[0]) - u).max() < 1e-13, modes
+            log = scipy.linalg.logm(u)
+            for cap in range(7):
+                basis = FockBasis(modes, cap)
+                vec = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
+                want = scipy.linalg.expm(_lift_generator(log, basis)) @ vec
+                out = apply_network_dense(vec, u, basis)
+                assert np.abs(out - want).max() <= 1e-12 * np.linalg.norm(vec), (modes, cap)
 
 
 class TestProjection:
@@ -370,12 +418,27 @@ class TestInputChecks:
                 "outcome 3 outside basis cap 2",
             ),
             (
+                lambda b, r: apply_network_dense(np.eye(b.dimension)[1], [[1, 1], [0, 1]], b),
+                "mode matrix is not unitary: max |U^dag U - I| = 1",
+            ),
+            (
+                lambda b, r: apply_network_dense(np.ones(b.dimension), [[1, 0], [0, 0]], b),
+                "mode matrix is not unitary: max |U^dag U - I| = 1",
+            ),
+            (
+                lambda b, r: fock_unitary(2 * np.eye(2), b),
+                "mode matrix is not unitary: max |U^dag U - I| = 3",
+            ),
+            (
                 lambda b, r: project_outcome_dense(np.zeros(b.dimension), 1, 0, b, r),
                 "cannot project the zero vector",
             ),
         ],
-        ids=["embed-modes", "vector-length", "outcome-past-cap", "zero-vector"],
+        ids=[
+            "embed-modes", "vector-length", "outcome-past-cap", "jordan-block",
+            "singular", "scaled-identity", "zero-vector",
+        ],
     )
     def test_rejected(self, call, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(self.BASIS, self.REDUCED)

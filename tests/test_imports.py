@@ -1,6 +1,7 @@
 """Every name a package module imports is used in it (or re-exported
-through ``__all__``), so that a refactor cannot leave a dead import behind,
-and importing the package loads no module that only one route needs."""
+through ``__all__``), so that a refactor cannot leave a dead import behind;
+no module imports scipy, and neither importing the package nor a CLI run
+loads it."""
 
 import ast
 import os
@@ -56,15 +57,17 @@ def test_guard_sees_an_unused_import():
 
 
 def test_import_and_check_leave_scipy_unloaded():
-    # Only the dense oracle needs scipy, and loading it is over half of
-    # `import fockcascade`: neither the import nor a `check`, `verify-nogo`,
-    # `simulate` or `condition` run loads it.
+    # The package runs on numpy alone (scipy is a test dependency, and
+    # loading it would double the memory of a run): neither the import nor a
+    # `check`, `verify-nogo`, `simulate`, `condition` or `oracle-check` run
+    # loads it.
     bell = str(SRC.parent.parent / "instances" / "bell.json")
     runs = [
         ["check", bell],
         ["verify-nogo", "--count", "3"],
         ["simulate", bell],
         ["condition", bell, "--measure", "aH", "--outcome", "1"],
+        ["oracle-check", "--count", "3", "--max-modes", "6", "--max-photons", "6"],
     ]
     code = (
         "import io, sys, contextlib, fockcascade\n"
@@ -81,6 +84,27 @@ def test_import_and_check_leave_scipy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert run.stdout.splitlines() == ["[]"] + ["0 []"] * len(runs)
+
+
+def imported_modules(tree: ast.Module) -> set[str]:
+    """Top-level packages of every absolute import, wherever it appears."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    assert "scipy" not in imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def test_guard_sees_a_scipy_import_inside_a_function():
+    tree = ast.parse("def f():\n    import scipy.linalg\n    from scipy.sparse import csr_array\n")
+    assert imported_modules(tree) == {"scipy"}
 
 
 def identifiers(tree: ast.AST) -> set[str]:
