@@ -18,8 +18,6 @@ from .errors import (
 from .modes import ModeRegistry
 from .poly import (
     CreationPolynomial,
-    contract_annihilators,
-    normal_order_pair,
     vacuum_inner_product,
     vacuum_norm_sq,
 )
@@ -57,10 +55,6 @@ from .nogo import (
     NoGoReport,
     OverlapTransfer,
     aux_transfer_tables,
-    coefficient_overlap_vector,
-    conditional_overlap_vector,
-    overlap_component,
-    overlap_component_recursive,
     system_expansions,
     transfer_matrix,
     verify_no_go,
@@ -68,10 +62,8 @@ from .nogo import (
 from .discriminate import (
     CascadeReport,
     DiscriminationInstance,
-    ProbeReport,
     StageReport,
     cascade_discrimination,
-    necessity_probe,
     stage_orthogonality,
 )
 from .sampling import NoGoInstance, random_homogeneous_state, random_nogo_instance
@@ -95,7 +87,6 @@ __all__ = [
     "OutcomeNode",
     "OverlapTransfer",
     "PhotonCapError",
-    "ProbeReport",
     "RegistryMismatchError",
     "SchemaError",
     "StageReport",
@@ -106,23 +97,16 @@ __all__ = [
     "aux_transfer_tables",
     "beam_splitter",
     "cascade_discrimination",
-    "coefficient_overlap_vector",
     "compose",
     "condition",
-    "conditional_overlap_vector",
-    "contract_annihilators",
     "embed",
     "expand_by_mode",
     "fock_unitary",
     "from_matrix",
     "haar_random_unitary",
     "identity",
-    "necessity_probe",
     "network_from_dict",
-    "normal_order_pair",
     "outcome_distribution",
-    "overlap_component",
-    "overlap_component_recursive",
     "phase_shifter",
     "project_outcome_dense",
     "random_homogeneous_state",

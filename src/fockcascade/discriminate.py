@@ -2,7 +2,7 @@
 
 A :class:`DiscriminationInstance` bundles K mutually orthogonal homogeneous
 L-photon states (the candidates to identify), an auxiliary state on disjoint
-modes, and optionally a measurement cascade strategy.  Three checks are
+modes, and optionally a measurement cascade strategy.  Two checks are
 provided:
 
 * :func:`stage_orthogonality`: after one network and one photon-number
@@ -10,9 +10,11 @@ provided:
   outcome?  Perfect single-stage identification requires exactly this.
 * :func:`cascade_discrimination`: does a full strategy end with every
   nonzero-probability leaf reachable by exactly one input state?
-* :func:`necessity_probe`: quantitative form of the no-go bound; whenever the
-  no-aux overlap vector is nonzero, the with-aux one is bounded away from
-  zero by the smallest singular value of the transfer matrix.
+
+The quantitative no-go bound (the with-aux overlaps are bounded away from
+zero by the smallest singular value of the transfer matrix whenever the
+no-aux ones are not zero) is acceptance criterion 6, checked by the tests
+through ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -20,17 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import StrategyError
 from .measurement import ZERO_WEIGHT_TOL, CascadeStage, OutcomeNode, run_cascade, validate_strategy
 from .network import LinearNetwork
-from .nogo import verify_no_go, _check_aux, _check_states
+from .nogo import _check_aux, _check_states
 from .poly import CreationPolynomial, vacuum_inner_product, vacuum_norm_sq
 
 INPUT_ORTHOGONALITY_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-9
-PROBE_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -182,63 +181,4 @@ def cascade_discrimination(instance: DiscriminationInstance) -> CascadeReport:
         verdict=all(not leaf.ambiguous for leaf in leaves),
         leaves=tuple(leaves),
         root_stage=_stage_report(root, instance.strategy.measure),
-    )
-
-
-@dataclass(frozen=True)
-class PairProbe:
-    i: int
-    j: int
-    no_aux_norm: float      # ||U'||_2
-    with_aux_norm: float    # ||V||_2
-    lower_bound: float      # sigma_min * ||U'||_2 - slack
-    bound_holds: bool
-    implication_holds: bool  # U' nonzero  =>  V nonzero
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    sigma_min: float
-    diagonal_value: float
-    pairs: tuple[PairProbe, ...]
-    all_hold: bool
-
-
-def necessity_probe(
-    instance: DiscriminationInstance, net: LinearNetwork, measured: str
-) -> ProbeReport:
-    """Check the quantitative no-go bound on one instance.
-
-    For each pair, compares ||V||_2 against sigma_min(M') * ||U'||_2 minus a
-    small numerical slack, and asserts the implication "no-aux overlaps
-    nonzero implies with-aux overlaps nonzero".
-    """
-    report = verify_no_go(instance.aux, instance.states, net, measured)
-    sigma_min = float(np.linalg.svd(np.array(report.transfer), compute_uv=False).min())
-
-    pairs = []
-    for pair in report.pairs:
-        u_norm = float(np.linalg.norm(np.array(pair.coefficient)))
-        v_norm = float(np.linalg.norm(np.array(pair.with_aux)))
-        lower = sigma_min * u_norm - PROBE_SLACK
-        bound_holds = v_norm >= lower
-        # Only a nonzero U' with a positive bound can falsify the implication;
-        # a bound at or below zero is too weak to test at this scale.
-        implication = not (u_norm > ORTHOGONALITY_TOL and lower > 0.0 and v_norm < lower)
-        pairs.append(
-            PairProbe(
-                i=pair.i,
-                j=pair.j,
-                no_aux_norm=u_norm,
-                with_aux_norm=v_norm,
-                lower_bound=lower,
-                bound_holds=bound_holds,
-                implication_holds=implication,
-            )
-        )
-    return ProbeReport(
-        sigma_min=sigma_min,
-        diagonal_value=report.leading_aux_norm,
-        pairs=tuple(pairs),
-        all_hold=all(p.bound_holds and p.implication_holds for p in pairs),
     )

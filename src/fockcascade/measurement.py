@@ -51,7 +51,7 @@ import numpy as np
 from .errors import PhotonCapError, StrategyError, ZeroStateError
 from .modes import ModeRegistry
 from .network import LinearNetwork, substitute
-from .poly import _FACTORIAL, PRUNE_TOL, CreationPolynomial, Exponents, _mul_into, vacuum_norm_sq
+from .poly import _FACTORIAL, PRUNE_TOL, CreationPolynomial, Exponents, _mul_into
 
 
 @dataclass(frozen=True)
@@ -83,22 +83,19 @@ class ModeExpansion:
     def weights(self) -> list[float]:
         """Outcome probabilities ``N! ||q_N|0>||^2 / ||p|0>||^2`` for
         N = 0..order.  The buckets hold exactly the source's terms, so the
-        normalizer ``sum_n n! ||q_n|0>||^2`` is ``||p|0>||^2``."""
-        raw = [_FACTORIAL[n] * vacuum_norm_sq(q) for n, q in enumerate(self.coefficients)]
-        total = sum(raw)
-        if total == 0:
+        normalizer ``sum_n n! ||q_n|0>||^2`` is ``||p|0>||^2``.  Each
+        coefficient is divided by the peak |c| before it is squared, so that
+        the squares of a state scaled far down do not underflow."""
+        peak = max(q.max_abs_coeff() for q in self.coefficients)
+        if peak == 0:
             raise ZeroStateError("cannot measure the zero state")
+        raw = [
+            _FACTORIAL[n]
+            * sum(abs(c / peak) ** 2 * math.prod(map(_FACTORIAL.__getitem__, e)) for e, c in q.items())
+            for n, q in enumerate(self.coefficients)
+        ]
+        total = sum(raw)
         return [w / total for w in raw]
-
-    def reassemble(self) -> CreationPolynomial:
-        """The polynomial :func:`expand_by_mode` split (exact; drops no term)."""
-        pos = self.source_registry.index(self.measured)
-        terms: dict[Exponents, complex] = {}
-        for n, part in enumerate(self.coefficients):
-            for exps, coeff in part.items():
-                full = exps[:pos] + (n,) + exps[pos:]
-                terms[full] = coeff
-        return CreationPolynomial._trusted(self.source_registry, terms, pruned=True)
 
 
 def expand_by_mode(p: CreationPolynomial, measured: str) -> ModeExpansion:
@@ -398,17 +395,18 @@ def _split_level(registry: ModeRegistry, measure: str, group: list) -> list:
         for k in range(alive.shape[1]):
             amp[:active, k, t.span] = (block * amp[:active, k, None, t.span]).sum(axis=-1)
     mag = np.abs(amp)
-    keep = mag > PRUNE_TOL * mag.max(axis=-1, keepdims=True)
+    peak = mag.max(axis=-1, keepdims=True)
+    keep = mag > PRUNE_TOL * peak
     if tops[0] > registry.photon_cap:  # as CreationPolynomial._capped: kept entries count
-        peak = np.where(keep, np.concatenate([t.exps for t in tables]).max(axis=-1), 0).max()
-        if peak > registry.photon_cap:
-            raise PhotonCapError(f"occupation {peak} exceeds photon cap {registry.photon_cap}")
+        most = np.where(keep, np.concatenate([t.exps for t in tables]).max(axis=-1), 0).max()
+        if most > registry.photon_cap:
+            raise PhotonCapError(f"occupation {most} exceeds photon cap {registry.photon_cap}")
     power, at, keys = _reduction(m, c, tops[0])
-    norms = np.where(keep, mag * mag, 0.0) * np.concatenate([t.fact for t in tables])
-    raw = np.zeros(alive.shape + (len(tables),))
-    for d, t in enumerate(tables):
-        for n in range(d + 1):
-            raw[..., n] += norms[..., t.span][..., t.exps[:, c] == n].sum(axis=-1)
+    # Divided by the peak before squaring, as in ModeExpansion.weights(); the
+    # rows of the inputs that do not reach a node are zero.
+    scaled = mag / np.where(peak > 0, peak, 1.0)
+    norms = np.where(keep, scaled * scaled, 0.0) * np.concatenate([t.fact for t in tables])
+    raw = norms @ (power[:, None] == np.arange(len(tables)))
     total = np.cumsum(raw, axis=-1)[..., -1]
     if (total[alive] == 0).any():
         raise ZeroStateError("cannot measure the zero state")

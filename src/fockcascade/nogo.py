@@ -43,10 +43,10 @@ the aux and state degrees add up past the photon cap, the full network is
 kept, so that the cap is checked on physical outputs.  The reduction is
 deliberately not used where output states are shown or acted on later:
 ``simulate``, ``condition``, the cascade stages and ``stage_orthogonality``,
-which reads a cascade's root outcomes, and the reference routes
-``conditional_overlap_vector``, ``coefficient_overlap_vector`` and the dense
-oracle, which keep the full network so that the tests compare the reduced
-pipeline with the unreduced one.
+which reads a cascade's root outcomes, and the dense oracle.  The test
+references in ``tests/reference.py`` (V by conditioning the full product
+state, U' of one pair) keep the full network too, so that the tests compare
+the reduced pipeline with the unreduced one.
 
 Component conventions used throughout (all indices nonnegative):
 
@@ -66,7 +66,8 @@ and, since V[s] = sum_{n,m} C[s, n, m], the transfer matrix is
 
     M'[s, p] = sum_{n,m} A[s, p, n, m].
 
-One table of A serves both the transfer matrix and the recursive component.
+One table of A serves both the transfer matrix and the recursive component
+that ``tests/reference.py`` checks against the direct one.
 """
 
 from __future__ import annotations
@@ -193,50 +194,7 @@ def reduced_network(
     return measured_row_network(net, measured, system_cols + aux_cols)
 
 
-# -- overlap vectors (conditioning route) ------------------------------------
-
-
-def conditional_overlap_vector(
-    aux: CreationPolynomial,
-    psi_i: CreationPolynomial,
-    psi_j: CreationPolynomial,
-    net: LinearNetwork,
-    measured: str,
-    system_order: int | None = None,
-) -> np.ndarray:
-    """Overlaps of with-aux conditional states over the top outcome window.
-
-    Entry s (s = 0..n_s) is ``<psi_i^N | psi_j^N>`` at N = n_a + n_s - s,
-    computed by conditioning the full product state of each input.
-    """
-    _check_states([psi_i, psi_j])
-    _check_aux(aux, [psi_i, psi_j])
-    _, pair_order = system_expansions([psi_i, psi_j], net, measured)
-    n_s = pair_order if system_order is None else int(system_order)
-    n_a = expand_by_mode(substitute(aux, net), measured).order
-    exp_i, exp_j = (expand_by_mode(substitute(aux * psi, net), measured) for psi in (psi_i, psi_j))
-    out = np.zeros(n_s + 1, dtype=complex)
-    for s in range(n_s + 1):
-        n = n_a + n_s - s
-        out[s] = vacuum_inner_product(exp_i.coefficient(n), exp_j.coefficient(n))
-    return out
-
-
-def coefficient_overlap_vector(
-    psi_i: CreationPolynomial,
-    psi_j: CreationPolynomial,
-    net: LinearNetwork,
-    measured: str,
-    system_order: int | None = None,
-) -> np.ndarray:
-    """Vacuum overlaps of the expansion coefficients, top power first.
-
-    Entry p (p = 0..n_s) is ``<0| Qs_i(ns-p)^dag Qs_j(ns-p) |0>``.
-    """
-    _check_states([psi_i, psi_j])
-    (exp_i, exp_j), pair_order = system_expansions([psi_i, psi_j], net, measured)
-    n_s = pair_order if system_order is None else int(system_order)
-    return _top_overlaps(exp_i, exp_j, n_s, n_s + 1)
+# -- coefficient overlaps ----------------------------------------------------
 
 
 def _top_overlaps(
@@ -247,62 +205,6 @@ def _top_overlaps(
     for s in range(length):
         out[s] = vacuum_inner_product(exp_i.coefficient(top - s), exp_j.coefficient(top - s))
     return out
-
-
-# -- overlap components (direct and recursive) -------------------------------
-
-
-def _check_component_indices(s: int, n: int, m: int, n_a: int, n_s: int) -> None:
-    if not 0 <= s <= n_a + n_s:
-        raise IndexError(f"s={s} outside [0, {n_a + n_s}]")
-    lo, hi = max(0, s - n_a), min(s, n_s)
-    for name, value in (("n", n), ("m", m)):
-        if not lo <= value <= hi:
-            raise IndexError(f"{name}={value} outside [{lo}, {hi}] for s={s}")
-
-
-def overlap_component(
-    aux_exp: ModeExpansion,
-    exp_i: ModeExpansion,
-    exp_j: ModeExpansion,
-    system_order: int,
-    s: int,
-    n: int,
-    m: int,
-) -> complex:
-    """Direct evaluation of the component C[s, n, m] from the expansions."""
-    n_a = aux_exp.order
-    _check_component_indices(s, n, m, n_a, system_order)
-    bra = aux_exp.coefficient(n_a - s + n) * exp_i.coefficient(system_order - n)
-    ket = aux_exp.coefficient(n_a - s + m) * exp_j.coefficient(system_order - m)
-    return vacuum_inner_product(bra, ket)
-
-
-def overlap_component_recursive(
-    aux_exp: ModeExpansion,
-    exp_i: ModeExpansion,
-    exp_j: ModeExpansion,
-    system_order: int,
-    s: int,
-    n: int,
-    m: int,
-) -> complex:
-    """Component C[s, n, m] read from the reordering table as
-    ``sum_p A[s, p, n, m] * U'[p]``.
-
-    Valid on the domain n >= m; use the n <-> m symmetry to reach the other
-    half.  The table is the one :func:`aux_transfer_tables` builds, so
-    agreement with :func:`overlap_component` is a correctness check on the
-    tables the transfer matrix is summed from.
-    """
-    if n < m:
-        raise ValueError("recursion domain is n >= m; swap indices by symmetry")
-    _check_component_indices(s, n, m, aux_exp.order, system_order)
-    tables = _reordering_table(aux_exp, system_order, s)
-    u_prime = _top_overlaps(exp_i, exp_j, system_order, m + 1)
-    return complex(
-        sum(tables.coeff[(s, p, n, m)] * u_prime[p] for p in range(max(0, n + m - s), m + 1))
-    )
 
 
 # -- auxiliary-only tables and the transfer matrix ----------------------------

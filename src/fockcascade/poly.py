@@ -6,25 +6,23 @@ monomials, each monomial an occupation multi-index over the registry modes.
 Creation operators commute, so a monomial is just its exponent tuple and
 multiplication adds exponents.
 
-The module also provides the two pieces of ladder-operator combinatorics the
-rest of the package is built on:
+The module also provides the ladder-operator combinatorics the rest of the
+package is built on:
 
 * ``vacuum_inner_product(p, q)`` evaluates ``<0| p^dag q |0>`` in closed form
   (matching monomials weighted by the product of per-mode factorials),
-* ``normal_order_pair(m, n)`` expands ``c^m c^dag^n`` into normally ordered
-  form, with exact integer coefficients ``k! C(m,k) C(n,k)``,
-* ``contract_annihilators(ops, state)`` applies a polynomial of annihilation
-  operators to a polynomial state, mode by mode.
+* ``_ordering_weight(k, m, n)`` is the integer ``k! C(m,k) C(n,k)`` with which
+  the k-fold contraction enters ``c^m c^dag^n`` in normal order; the
+  reordering recursion of ``nogo`` is built from it.
 
 Coefficients are complex doubles.  A polynomial keeps only the terms with
 ``|c| > PRUNE_TOL * max|c|``, so floating cancellation residue does not
 accumulate.  Terms are dropped only where coefficients are computed: the
 validating constructor, ``+``, ``*``, ``scale``, ``network.substitute``,
-``measurement.product_coefficients``, ``contract_annihilators`` and the
-cascade's level pass (at each input's peak after the network).  A subset of
-a polynomial's terms, its negation and its conjugate meet the bound already,
-so ``-p``, ``p.conjugate()`` and the regroupings in ``measurement`` drop
-nothing.
+``measurement.product_coefficients`` and the cascade's level pass (at each
+input's peak after the network).  A subset of a polynomial's terms, its
+negation and its conjugate meet the bound already, so ``-p``,
+``p.conjugate()`` and the regroupings in ``measurement`` drop nothing.
 
 The public constructor validates every exponent tuple.  Arithmetic on
 validated polynomials builds its result through
@@ -355,52 +353,7 @@ def vacuum_norm_sq(p: CreationPolynomial) -> float:
     return vacuum_inner_product(p, p).real
 
 
-def normal_order_pair(m: int, n: int) -> list[tuple[int, int]]:
-    """Expansion of ``c^m c^dag^n`` into normally ordered terms.
-
-    Returns ``[(k, w_k)]`` with exact integer weights such that
-
-        c^m c^dag^n  =  sum_k  w_k * c^dag^(n-k) c^(m-k),
-        w_k = k! * C(m, k) * C(n, k),   0 <= k <= min(m, n).
-    """
-    if m < 0 or n < 0:
-        raise ValueError("operator powers must be nonnegative")
-    return [(k, _ordering_weight(k, m, n)) for k in range(min(m, n) + 1)]
-
-
 def _ordering_weight(k: int, m: int, n: int) -> int:
     """``k! C(m, k) C(n, k)``: the ways to contract k of m annihilators with
     k of n creators when ``c^m c^dag^n`` is normally ordered."""
     return math.factorial(k) * math.comb(m, k) * math.comb(n, k)
-
-
-def contract_annihilators(
-    ops: CreationPolynomial, state: CreationPolynomial
-) -> CreationPolynomial:
-    """Apply ``ops`` read as annihilation operators to ``state|0>``.
-
-    Each monomial of ``ops`` with exponents ``e`` acts as ``prod_i a_i^{e_i}``
-    on a state monomial with exponents ``f``, yielding
-    ``prod_i f_i!/(f_i-e_i)!`` times the monomial ``f - e`` (zero whenever some
-    ``e_i > f_i``).  Coefficients of ``ops`` are used as given; conjugate first
-    to realize the adjoint of a creation polynomial.
-
-    The returned polynomial r satisfies ``r|0> = ops_annih * state|0>`` and may
-    be zero.
-    """
-    ops.registry.require_same(state.registry)
-    out: dict[Exponents, complex] = {}
-    for ea, ca in ops._terms.items():
-        for eb, cb in state._terms.items():
-            weight = 1
-            key = []
-            for e, f in zip(ea, eb):
-                if e > f:
-                    weight = 0
-                    break
-                weight *= math.perm(f, e)
-                key.append(f - e)
-            if weight:
-                k = tuple(key)
-                out[k] = out.get(k, 0.0) + ca * cb * weight
-    return CreationPolynomial._trusted(ops.registry, out)

@@ -18,11 +18,7 @@ from fockcascade import (
     cascade_discrimination,
     expand_by_mode,
     from_matrix,
-    necessity_probe,
-    normal_order_pair,
     outcome_distribution,
-    overlap_component,
-    overlap_component_recursive,
     random_nogo_instance,
     run_nogo_suite,
     run_oracle_suite,
@@ -31,6 +27,12 @@ from fockcascade import (
     verify_no_go,
 )
 from helpers import bracket_int, orthogonal_states
+from reference import (
+    necessity_probe,
+    normal_order_pair,
+    overlap_component,
+    overlap_component_recursive,
+)
 
 RESIDUAL_TOL = 1e-8
 DET_TOL = 1e-8

@@ -16,7 +16,6 @@ from fockcascade import (
     cascade_discrimination,
     condition,
     identity,
-    necessity_probe,
     random_network,
     random_nogo_instance,
     run_cascade,
@@ -30,6 +29,7 @@ from fockcascade import discriminate, measurement, nogo
 from fockcascade.instancefile import parse_instance
 from fockcascade.sampling import random_aux_state
 from helpers import bell_instance, orthogonal_states, random_full_strategy
+from reference import necessity_probe
 
 REG2 = ModeRegistry(("m1", "m2"))
 

@@ -1,9 +1,10 @@
 """Every name a package module imports is used in it (or re-exported
 through ``__all__``), so that a refactor cannot leave a dead import behind;
 no module imports scipy, and neither importing the package nor a CLI run
-loads it."""
+loads it; and the test references are not part of the package."""
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -148,3 +149,38 @@ def test_only_the_file_reader_defines_from_dict():
 def test_guard_sees_an_aliased_or_attribute_name():
     assert "SchemaError" in identifiers(ast.parse("from .errors import SchemaError as E"))
     assert "SchemaError" in identifiers(ast.parse("from . import errors\nerrors.SchemaError"))
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    """Names a module defines at its top level (imports excluded)."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update(t.id for t in targets if isinstance(t, ast.Name))
+    return out
+
+
+def test_the_test_references_live_only_in_the_tests():
+    # The package carries what its commands run; the independent routes the
+    # tests check it against live in tests/reference.py alone.
+    import fockcascade
+    from fockcascade.measurement import ModeExpansion
+
+    reference = pathlib.Path(__file__).resolve().parent / "reference.py"
+    names = defined_names(ast.parse(reference.read_text(encoding="utf-8")))
+    modules = [fockcascade] + [
+        importlib.import_module(f"fockcascade.{path.stem}")
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "__init__"
+    ]
+    shipped = sorted(f"{m.__name__}.{n}" for m in modules for n in names if hasattr(m, n))
+    assert not shipped, shipped
+    assert not hasattr(ModeExpansion, "reassemble")
+
+
+def test_guard_sees_a_defined_name_but_not_an_imported_one():
+    tree = ast.parse("from x import a\nimport b\nC = 1\nD: int = 2\ndef e(): pass\nclass F: pass\n")
+    assert defined_names(tree) == {"C", "D", "e", "F"}

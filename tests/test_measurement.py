@@ -39,6 +39,7 @@ from fockcascade.measurement import ZERO_WEIGHT_TOL, product_coefficients
 from fockcascade.poly import report_value
 from fockcascade.sampling import random_aux_state, random_homogeneous_state
 from helpers import mixed_level, random_full_strategy, random_poly
+from reference import reassemble
 
 REG2 = ModeRegistry(("c", "d"))
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -86,7 +87,7 @@ class TestExpansion:
         for _ in range(10):
             p = random_poly(rng, reg, 4)
             exp = expand_by_mode(p, "d")
-            assert dict(exp.reassemble().items()) == dict(p.items())
+            assert dict(reassemble(exp).items()) == dict(p.items())
 
 
 class TestProductCoefficients:
@@ -225,6 +226,30 @@ class TestOutcomeDistribution:
     def test_zero_state_rejected(self):
         with pytest.raises(ZeroStateError):
             outcome_distribution(CreationPolynomial.zero(REG2), "c")
+
+
+class TestScaledDown:
+    """A state is a ray, so scaling it leaves its outcome weights as they are.
+    Below about 1e-154, |c|^2 underflows; both routes divide by the peak
+    before they square."""
+
+    @pytest.mark.parametrize("scale", [1e-155, 1e-158, 1e-160, 1e-162])
+    def test_weights_match_the_unscaled_state_on_both_routes(self, scale):
+        rng = np.random.default_rng(1)
+        reg = ModeRegistry(("m0", "m1", "m2"))
+        psi = random_homogeneous_state(rng, reg, reg.labels, 2)
+        psi = psi.scale(1 / math.sqrt(vacuum_norm_sq(psi)))
+        net = random_network(reg, rng)
+        expected = [w for _, w in outcome_distribution(substitute(psi, net), "m0")]
+        tiny = psi.scale(scale)
+        routes = {
+            "outcome_distribution": [w for _, w in outcome_distribution(substitute(tiny, net), "m0")],
+            "level pass": [
+                child.weights[0] for child in run_cascade([tiny], CascadeStage("m0", net)).children
+            ],
+        }
+        for route, got in routes.items():
+            assert len(got) == 3 and np.allclose(got, expected, rtol=1e-12, atol=0), (route, got)
 
 
 class TestCascade:

@@ -14,16 +14,11 @@ from fockcascade import (
     PhotonCapError,
     aux_transfer_tables,
     beam_splitter,
-    coefficient_overlap_vector,
-    conditional_overlap_vector,
     condition,
-    contract_annihilators,
     expand_by_mode,
     from_matrix,
     haar_random_unitary,
     identity,
-    overlap_component,
-    overlap_component_recursive,
     random_network,
     random_nogo_instance,
     run_nogo_suite,
@@ -38,6 +33,13 @@ from fockcascade import measurement, nogo
 from fockcascade.poly import report_value
 from fockcascade.sampling import random_aux_state, random_homogeneous_state
 from helpers import cap_below_the_product, orthogonal_states, structured_nogo_instance
+from reference import (
+    coefficient_overlap_vector,
+    conditional_overlap_vector,
+    contract_annihilators,
+    overlap_component,
+    overlap_component_recursive,
+)
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 

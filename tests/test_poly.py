@@ -16,15 +16,14 @@ from fockcascade import (
     ModeRegistry,
     PhotonCapError,
     RegistryMismatchError,
-    contract_annihilators,
     embed,
-    normal_order_pair,
     vacuum_inner_product,
     vacuum_norm_sq,
 )
 from fockcascade.instancefile import parse_instance
 from fockcascade.poly import report_value
 from helpers import bracket_int, dense_annihilation_string, random_poly
+from reference import contract_annihilators, normal_order_pair
 
 REG2 = ModeRegistry(("a1", "a2"))
 REG3 = ModeRegistry(("a1", "a2", "a3"))

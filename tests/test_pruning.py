@@ -23,8 +23,9 @@ from fockcascade import (
     substitute,
 )
 from fockcascade.measurement import product_coefficients
-from fockcascade.poly import PRUNE_TOL, contract_annihilators
+from fockcascade.poly import PRUNE_TOL
 from helpers import mixed_level, random_full_strategy
+from reference import contract_annihilators, reassemble
 
 REG = ModeRegistry(("c", "d", "e"))
 
@@ -79,7 +80,7 @@ class TestPrunedOnce:
         product = product_coefficients(left, right, 0, left.order + right.order)
         for n, part in enumerate(product):
             results[f"product_coefficients[{n}]"] = part
-        results["reassemble"] = left.reassemble()
+        results["reassemble"] = reassemble(left)
         for what, result in results.items():
             assert_pruned(result, what)
         stage = random_full_strategy(rng, REG, max(p.degree, q.degree))
